@@ -13,7 +13,8 @@ sees the signal through ``goalReceive``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..network.eventloop import EventLoop
 from ..obs.events import SlotFailureRecord
@@ -29,6 +30,11 @@ from .goals import CloseSlot, Goal, HoldSlot, OpenSlot
 from .maps import Maps
 
 __all__ = ["Box"]
+
+#: Meta-signals a box remembers.  Each entry pins its channel end (and
+#: through it the channel, both ends' slots and the link), so a box that
+#: lives for many calls must forget old ones.
+_META_LOG_MAX = 64
 
 
 class Box(SignalingAgent):
@@ -58,7 +64,8 @@ class Box(SignalingAgent):
         #: the signaling history that led to the budget running out.
         self.failure_records: List[SlotFailureRecord] = []
         #: Meta-signals seen (newest last), for programs polling them.
-        self.meta_log: List[Tuple[ChannelEnd, MetaSignal]] = []
+        self.meta_log: Deque[Tuple[ChannelEnd, MetaSignal]] = deque(
+            maxlen=_META_LOG_MAX)
         #: Optional observer invoked after every stimulus (programs use
         #: this to re-evaluate transition guards).
         self.after_stimulus: Optional[Callable[[], None]] = None

@@ -107,7 +107,7 @@ async def _serve(args: argparse.Namespace) -> int:
     if not args.no_probe:
         probe = MediaProbe()
         await probe.start()
-        node.probe = probe
+        node.attach_probe(probe)
     gateway: Optional[Gateway] = None
     if not args.no_http:
         gateway = Gateway(node, caller=args.caller, box=args.box)
@@ -267,7 +267,7 @@ async def _demo(args: argparse.Namespace) -> int:
         await node.start()
         probe = MediaProbe()
         await probe.start()
-        node.probe = probe
+        node.attach_probe(probe)
         gateway = Gateway(node)
         await gateway.start()
         node.add_peer("devside", peer_host, peer_port)

@@ -304,7 +304,11 @@ class Gateway:
         node._pump()
 
         def settled() -> bool:
-            return (port.slot.state == "flowing"
+            # ``flowing`` comes with the oack; the select that names the
+            # codec (and ends the journal's growth) is a frame behind.
+            slot = port.slot
+            return ((slot.state == "flowing"
+                     and slot.selector_received is not None)
                     or not record.half.alive
                     or bool(self.caller.failed_ports))
 
@@ -319,13 +323,11 @@ class Gateway:
             if not flowing or port.slot.state != "flowing":
                 raise CallError(504, "not-flowing-in-time",
                                 port.slot.state)
-            selector = port.slot.selector_received
+            codec = port.slot.selector_received.codec
             result: Dict[str, Any] = {
                 "state": "flowing",
                 "channel": record.half.channel_id,
-                "codec": selector.codec.name
-                if selector is not None and selector.codec is not None
-                else "",
+                "codec": codec.name if codec is not None else "",
                 "journal": record.journal.summary(),
             }
             reference = reference_fingerprint(
@@ -384,11 +386,18 @@ class Gateway:
         wire), then the local caller leg; pump until quiet."""
         if record.half.alive:
             record.half.end.tear_down()
-        if channel is not None and channel.active:
-            channel.initiator_end.tear_down()
-            # Self-initiated teardown never notifies the owner; release
-            # the caller's ports here or every call strands one.
-            self.caller.release_end(channel.initiator_end)
+        if channel is not None:
+            if channel.active:
+                channel.initiator_end.tear_down()
+                # Self-initiated teardown never notifies the owner;
+                # release the caller's ports here or every call strands
+                # one.
+                self.caller.release_end(channel.initiator_end)
+            # ...and the network's record of the leg, or every call
+            # strands a channel.
+            channels = self.node.net.channels
+            if channel in channels:
+                channels.remove(channel)
         self.node._pump()
         await asyncio.sleep(0)
         self.node._pump()
@@ -429,6 +438,7 @@ class Gateway:
         finally:
             if subscriber in self.node.subscribers:
                 self.node.subscribers.remove(subscriber)
+                self.node._wake()  # no pump follows a socket closing
             pusher.cancel()
             try:
                 await pusher

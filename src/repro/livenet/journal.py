@@ -23,6 +23,7 @@ the single-process reference run agree without coordination.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from typing import Any, Callable, List
@@ -48,13 +49,15 @@ def host_for(name: str) -> str:
 class SignalJournal:
     """Records one channel's wire traffic, split by direction.
 
-    Attach with :meth:`attach` from one side's perspective; envelopes
-    that side emits land in ``sent``, envelopes it receives land in
-    ``received``, both as canonical wire encodings.  Works identically
-    on a pure sim channel and on a live half-channel, because both carry
-    traffic through the same :class:`~repro.network.transport.Link` —
-    the hook is the existing observability seam, so recording perturbs
-    neither path.
+    Envelopes one side emits land in ``sent``, envelopes it receives
+    land in ``received``, both as canonical wire encodings.  A pure sim
+    channel is journaled with :meth:`attach`, a transmit hook on its
+    :class:`~repro.network.transport.Link`.  A live half-channel already
+    encodes every envelope it ships, so
+    :class:`~repro.livenet.seam.HalfChannel` hands those bytes to
+    :meth:`record_sent` / :meth:`record_received` instead and its link
+    stays unhooked; the two feeds yield identical lists
+    (``tests/unit/livenet/test_journal_parity.py``).
     """
 
     def __init__(self) -> None:
@@ -90,7 +93,7 @@ class SignalJournal:
         self._detach()
         self._detach = lambda: None
 
-    # -- direct recording (live nodes feed these off the socket path) ----
+    # -- direct recording (half-channels feed these at the seam) ---------
     def record_sent(self, encoded: bytes) -> None:
         self.sent.append(encoded)
 
@@ -127,6 +130,7 @@ class SignalJournal:
             len(self.sent), len(self.received))
 
 
+@functools.lru_cache(maxsize=64)
 def reference_fingerprint(caller: str, box: str, target: str,
                           medium: str = "audio") -> str:
     """The sim's verdict on a first live call: run the canonical gateway
@@ -140,6 +144,9 @@ def reference_fingerprint(caller: str, box: str, target: str,
     first call each participating process has placed (descriptor
     versions and media ports advance monotonically per process, so
     later calls legitimately mint different bytes).
+
+    The replay is a pure function of its four strings, so the result is
+    memoized: a gateway asks for the same one on every call.
     """
     from ..network.network import Network
 

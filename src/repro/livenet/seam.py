@@ -34,8 +34,10 @@ from typing import Callable, Iterable, Optional, Protocol
 from ..network.eventloop import EventLoop
 from ..protocol.channel import (DEFAULT_TUNNEL, ChannelEnd, SignalingAgent,
                                 SignalingChannel)
-from ..protocol.signals import MetaMessage, MetaSignal, TearDown, TunnelSignal
+from ..protocol.signals import (ChannelUp, MetaMessage, MetaSignal, TearDown,
+                                TunnelSignal)
 from ..protocol.slot import RetransmitPolicy, Slot
+from .journal import SignalJournal
 from .wire import encode_envelope
 
 __all__ = ["Wire", "RemoteRelay", "HalfChannel"]
@@ -116,6 +118,8 @@ class HalfChannel:
         self.alive = True
         #: Called once, when the channel dies (either direction).
         self.on_closed: Optional[Callable[["HalfChannel"], None]] = None
+        #: What crossed the seam, per direction, as wire encodings.
+        self.journal = SignalJournal()
         self.relay = RemoteRelay(loop, name=remote_name)
         if outbound:
             initiator: SignalingAgent = agent
@@ -154,10 +158,16 @@ class HalfChannel:
         """
         if not self.alive:
             return
-        teardown = (type(message) is MetaMessage
-                    and isinstance(message.signal, TearDown))
-        self._sink(encode_envelope(message))  # type: ignore[arg-type]
-        if teardown:
+        signal = message.signal if type(message) is MetaMessage else None
+        data = encode_envelope(message)  # type: ignore[arg-type]
+        # The initiator's ChannelUp announce is channel construction,
+        # not traffic on the channel: a journal hooked onto a sim
+        # channel (which exists only once the announce is sent) never
+        # sees it, so sim parity needs it left out here too.
+        if not isinstance(signal, ChannelUp):
+            self.journal.record_sent(data)
+        self._sink(data)
+        if isinstance(signal, TearDown):
             # Local hangup completed its trip through the seam; the
             # remote half dies when the frame lands.  The local end shut
             # itself down when it sent this, so retiring the relay end
@@ -175,6 +185,10 @@ class HalfChannel:
             return
         teardown = (type(envelope) is MetaMessage
                     and isinstance(envelope.signal, TearDown))
+        # Journaled as a canonical re-encoding, not as the bytes that
+        # arrived: the decoder accepts non-canonical input.
+        self.journal.record_received(
+            encode_envelope(envelope))  # type: ignore[arg-type]
         self._wire_end.send(envelope)
         if teardown:
             # The TearDown delivery is now in flight on the link; the

@@ -14,7 +14,10 @@ extend into other processes:
   user stimulus, simulated time advances to the wall-elapsed anchor and
   the loop drains; a timer is armed for the next pending sim event, so
   retransmission and backoff timers fire live with the same semantics
-  the simulator pins.
+  the simulator pins.  The pump is also the event
+  :meth:`LiveNode.wait_for` sleeps on: a pump that executed sim events
+  wakes every parked waiter, so a caller waits as long as the protocol
+  takes and no longer.
 
 Everything runs on the asyncio thread; the repro loop is only ever
 pumped from asyncio callbacks, so no locks exist anywhere in the stack.
@@ -38,7 +41,6 @@ from ..obs.events import LiveWireEvent
 from ..protocol.channel import DEFAULT_TUNNEL, SignalingAgent
 from ..protocol.errors import ConfigurationError
 from ..protocol.slot import RetransmitPolicy
-from .journal import SignalJournal
 from .seam import HalfChannel
 from .wire import (ByeFrame, Frame, FrameAssembler, HelloFrame, PingFrame,
                    PongFrame, ProbeFrame, SigFrame, WireError, decode_frame,
@@ -225,8 +227,8 @@ class LiveChannel:
     def __init__(self, half: HalfChannel, conn: PeerConnection):
         self.half = half
         self.conn = conn
-        self.journal = SignalJournal()
-        self.journal.attach(half.channel, half._local_side)
+        #: Fed by the half-channel with the bytes that cross the seam.
+        self.journal = half.journal
         #: The remote process's real UDP probe address, once announced.
         self.peer_probe: Optional[Tuple[str, int]] = None
         self.probe_sent = False
@@ -262,9 +264,12 @@ class LiveNode:
         self._counter = 0
         self._anchor = 0.0
         self._timer: Optional[asyncio.TimerHandle] = None
+        #: Futures of parked :meth:`wait_for` calls, resolved by
+        #: :meth:`_wake`.
+        self._waiters: List[asyncio.Future] = []
         self._running = False
-        #: Filled by :class:`~repro.livenet.udp.MediaProbe` when one is
-        #: attached; advertised in ProbeFrames.
+        #: The node's :class:`~repro.livenet.udp.MediaProbe`, set by
+        #: :meth:`attach_probe`; advertised in ProbeFrames.
         self.probe: Optional[Any] = None
 
     # ------------------------------------------------------------------
@@ -309,7 +314,7 @@ class LiveNode:
         self.loop.run_until_quiescent()
         self.channels.clear()
         self._closed_ids.clear()
-        self._emit("stopped")
+        self._emit("stopped")  # wakes the waiters: nothing more can change
 
     # ------------------------------------------------------------------
     # peers and channels
@@ -349,6 +354,12 @@ class LiveNode:
         self._emit("channel-open", peer=peer, detail=channel_id)
         self._pump()
         return record
+
+    def attach_probe(self, probe: Any) -> None:
+        """Adopt a started :class:`~repro.livenet.udp.MediaProbe`.  Its
+        echoes arrive outside the pump, so they wake waiters directly."""
+        self.probe = probe
+        probe.on_echo = self._wake
 
     def announce_probe(self, channel_id: str) -> None:
         """Tell the remote side where our real UDP probe listens."""
@@ -399,6 +410,7 @@ class LiveNode:
                 record.peer_probe = (fr.host, fr.port)
                 if not record.probe_sent:
                     self.announce_probe(fr.channel_id)
+                self._wake()  # no sim event carries this change
 
     def _on_hello(self, conn: PeerConnection, fr: HelloFrame) -> None:
         if fr.channel_id in self.channels:
@@ -431,7 +443,6 @@ class LiveNode:
     def _half_closed(self, half: HalfChannel) -> None:
         record = self.channels.pop(half.channel_id, None)
         if record is not None:
-            record.journal.detach()
             self._closed_ids[half.channel_id] = None
             while len(self._closed_ids) > 1024:
                 self._closed_ids.pop(next(iter(self._closed_ids)))
@@ -470,7 +481,9 @@ class LiveNode:
     # ------------------------------------------------------------------
     def _pump(self) -> None:
         """Advance the repro loop to wall-elapsed time and drain it,
-        then arm a timer for the next pending simulated event."""
+        then arm a timer for the next pending simulated event.  Waiters
+        are woken only if events actually ran: an idle pump changes
+        nothing a predicate could see."""
         if not self._running:
             return
         aio = asyncio.get_running_loop()
@@ -479,25 +492,63 @@ class LiveNode:
             self._timer = None
         target = aio.time() - self._anchor
         delta = target - self.loop.now
-        self.loop.advance(delta if delta > 0 else 0.0)
+        if self.loop.advance(delta if delta > 0 else 0.0):
+            self._wake()
         nxt = self.loop._front(pop_cancelled=True)
         if nxt is not None:
             delay = (self._anchor + nxt.time) - aio.time()
             self._timer = aio.call_later(
                 delay if delay > 0 else 0.0, self._pump)
 
+    def _wake(self) -> None:
+        """Something a :meth:`wait_for` predicate may read has changed:
+        let every parked waiter look again."""
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for waiter in waiters:
+                if not waiter.done():  # cancelled, not yet unparked
+                    waiter.set_result(None)
+
     async def wait_for(self, predicate: Callable[[], bool],
-                       timeout: float = 5.0, poll: float = 0.01) -> bool:
-        """Pump until ``predicate()`` holds or ``timeout`` passes."""
+                       timeout: float = 5.0) -> bool:
+        """Wait until ``predicate()`` holds (True), or ``timeout``
+        seconds pass or the node stops (False).
+
+        Pumps once on entry, which drains the caller's own stimulus,
+        then sleeps until the node changes: a pump that executed sim
+        events, a transport transition (:meth:`_emit`), a probe address
+        or echo, an unsubscribe.  A woken waiter only looks; it does
+        not pump, or two waiters would keep waking each other.  Code
+        that stimulates the sim loop from outside must therefore call
+        :meth:`_pump` itself, as :meth:`open_live` does.
+        """
+        self._pump()
+        if predicate():
+            return True
         aio = asyncio.get_running_loop()
-        deadline = aio.time() + timeout
-        while True:
-            self._pump()
-            if predicate():
-                return True
-            if aio.time() >= deadline:
-                return False
-            await asyncio.sleep(poll)
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            self._wake()
+
+        timer = aio.call_later(timeout, expire)
+        try:
+            while self._running and not expired:
+                waiter = aio.create_future()
+                self._waiters.append(waiter)
+                try:
+                    await waiter
+                finally:
+                    if waiter in self._waiters:  # cancelled while parked
+                        self._waiters.remove(waiter)
+                if predicate():
+                    return True
+            return False
+        finally:
+            timer.cancel()
 
     # ------------------------------------------------------------------
     # observability
@@ -514,6 +565,7 @@ class LiveNode:
                                       peer=peer, detail=detail))
         for subscriber in list(self.subscribers):
             subscriber(event)
+        self._wake()
 
     def status(self) -> Dict[str, Any]:
         """JSON-friendly snapshot for the gateway's health endpoint."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 __all__ = ["MediaProbe"]
 
@@ -41,6 +41,9 @@ class MediaProbe(asyncio.DatagramProtocol):
         self.echoes: Dict[bytes, int] = {}
         #: Requests served (observability for the remote side's tests).
         self.served = 0
+        #: Called after each counted echo (the owning node wakes the
+        #: code waiting on :meth:`echo_count`).
+        self.on_echo: Optional[Callable[[], None]] = None
 
     # -- lifecycle --------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
@@ -76,6 +79,8 @@ class MediaProbe(asyncio.DatagramProtocol):
         elif magic == _ECHO:
             key = bytes(rest[1:1 + key_len])
             self.echoes[key] = self.echoes.get(key, 0) + 1
+            if self.on_echo is not None:
+                self.on_echo()
 
     # -- sending ----------------------------------------------------------
     def blast(self, dest: Tuple[str, int], key: bytes, count: int) -> int:

@@ -8,7 +8,7 @@ import json
 
 from repro.livenet.cli import _http_json
 from repro.livenet.gateway import Gateway, _path_problem, _ws_text_frame
-from repro.livenet.journal import host_for
+from repro.livenet.journal import host_for, reference_fingerprint
 from repro.livenet.tcp import LiveNode
 
 
@@ -61,6 +61,38 @@ def test_call_flows_with_sim_parity_and_hangs_up():
         finally:
             await _teardown(a, b, gateway)
     run(scenario())
+
+
+def test_reply_never_precedes_the_selector():
+    # ``flowing`` arrives with the oack, the codec one frame later; the
+    # reply (and the journal it fingerprints) must wait for both.
+    async def scenario():
+        a, b, gateway = await _stack()
+        try:
+            replies = [await gateway.place_call("bob@b")
+                       for _ in range(200)]
+            assert all(r["codec"] == "OPUS" for r in replies)
+            assert replies[0]["parity"] is True
+        finally:
+            await _teardown(a, b, gateway)
+    run(scenario())
+
+
+def test_reference_fingerprint_is_replayed_once_per_scenario(monkeypatch):
+    import repro.network.network as network_module
+    built = []
+
+    class CountedNetwork(network_module.Network):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(network_module, "Network", CountedNetwork)
+    reference_fingerprint.cache_clear()
+    audio = {reference_fingerprint("caller", "gw", "bob") for _ in range(5)}
+    assert len(audio) == 1 and len(built) == 1
+    assert reference_fingerprint("caller", "gw", "bob", "video") not in audio
+    assert len(built) == 2
+    reference_fingerprint.cache_clear()  # drop entries built on the fake
 
 
 def test_call_validation_rejections():

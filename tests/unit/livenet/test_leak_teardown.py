@@ -8,13 +8,20 @@ returns to its baseline.
 """
 
 import asyncio
+import gc
 
+from repro.core import box as box_module
 from repro.livenet.cli import _http_json
 from repro.livenet.gateway import Gateway
 from repro.livenet.journal import host_for
+from repro.livenet.seam import HalfChannel, RemoteRelay
 from repro.livenet.tcp import LiveNode
+from repro.protocol.channel import ChannelEnd, SignalingChannel
+from repro.protocol.slot import Slot
 
 _CYCLES = 6
+#: What one call builds on each node, and must give back.
+_PER_CALL = (SignalingChannel, ChannelEnd, Slot, HalfChannel, RemoteRelay)
 
 
 def run(coro):
@@ -83,6 +90,45 @@ def test_repeated_calls_leak_nothing():
             assert not task.get_name().startswith("repro-"), task
         assert not a.channels and not b.channels
         assert not a.peers and not b.accepted
+    run(scenario())
+
+
+def _census():
+    gc.collect()
+    counts = dict.fromkeys(_PER_CALL, 0)
+    for obj in gc.get_objects():
+        if type(obj) in counts:
+            counts[type(obj)] += 1
+    return {cls.__name__: n for cls, n in counts.items()}
+
+
+def test_two_hundred_calls_retain_no_call_objects():
+    async def scenario():
+        a, b = LiveNode("a"), LiveNode("b")
+        await a.start()
+        await b.start()
+        b.net.device("bob", auto_accept=True, host=host_for("bob"))
+        gateway = Gateway(a)
+        await gateway.start()
+        a.add_peer("b", *b.listen_address)
+        try:
+            # Fill the gateway box's bounded meta log first: until it
+            # wraps, each call's entries legitimately stay.
+            for _ in range(box_module._META_LOG_MAX):
+                await gateway.place_call("bob@b", timeout=15)
+            assert len(gateway.box.meta_log) == box_module._META_LOG_MAX
+            assert await b.wait_for(lambda: not b.channels)
+            before = _census()
+            for _ in range(200):
+                await gateway.place_call("bob@b", timeout=15)
+            assert await b.wait_for(lambda: not b.channels)
+            assert _census() == before
+            assert len(a.net.channels) == 0
+            assert not a.channels
+        finally:
+            await gateway.stop()
+            await a.stop()
+            await b.stop()
     run(scenario())
 
 
