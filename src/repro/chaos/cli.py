@@ -28,6 +28,7 @@ import json
 import sys
 from typing import List, Optional, TextIO
 
+from ..load.calibrate import host_calibration_record
 from ..network.faults import PLANS, FaultPlan, plan_by_name
 from ..protocol.slot import RetransmitPolicy
 from ..tools.bench import write_text as _write_text
@@ -118,6 +119,9 @@ def _bench_payload(results: List[ChaosResult], seed: int) -> dict:
     return {
         "plan": results[0].plan if results else {},
         "seed": seed,
+        # ``elapsed`` below is raw wall time on whatever host ran this;
+        # the ratio makes two records comparable.
+        "host_calibration": host_calibration_record(),
         "apps": {
             r.app: {
                 "converged": r.converged,

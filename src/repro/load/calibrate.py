@@ -26,9 +26,18 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-from typing import Optional
+from typing import Dict, Optional
 
-__all__ = ["measure_python_reference", "PROBE_CALLS", "PROBE_REPEATS"]
+from ..tools.bench import host_calibration, load_baseline
+
+__all__ = ["measure_python_reference", "host_calibration_record",
+           "BASELINE_PATH", "PROBE_CALLS", "PROBE_REPEATS"]
+
+# The recorded seed baseline lives at the repo root (the package runs
+# from a src/ layout), so anchor the lookup to this file, not the CWD.
+BASELINE_PATH = os.path.normpath(os.path.join(
+    os.path.dirname(__file__), "..", "..", "..",
+    "benchmarks", "baselines", "load_seed.json"))
 
 #: Probe sizing: mirrors the load gate's own statistic (best 50-call
 #: window over a few hundred calls, best of three runs) so probe and
@@ -72,3 +81,18 @@ def measure_python_reference(calls: int = PROBE_CALLS,
     except ValueError:
         return None
     return rate if rate > 0 else None
+
+
+def host_calibration_record() -> Dict[str, Optional[float]]:
+    """The block a ``BENCH_*.json`` carries beside raw wall times: the
+    reference workload's recorded and just-measured rates and their
+    ratio (> 1: this host is faster than the reference host, so wall
+    times recorded here read low by that factor)."""
+    reference = load_baseline(BASELINE_PATH).get(
+        "python_reference_calls_per_sec_best_window")
+    measured = measure_python_reference()
+    return {
+        "python_reference_calls_per_sec_best_window": reference,
+        "python_measured_calls_per_sec_best_window": measured,
+        "ratio": host_calibration(measured, reference),
+    }

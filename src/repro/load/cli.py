@@ -34,17 +34,12 @@ from ..network.backend import describe as _backend_describe
 from ..network.faults import PLANS
 from ..tools.bench import (emit_json, host_calibration, load_baseline,
                            speedup_vs_seed)
+from .calibrate import BASELINE_PATH as _BASELINE_PATH
 from .calibrate import measure_python_reference
 from .harness import LoadJob, LoadResult, default_jobs, run_jobs, summarize
 from .topologies import RELAY, TOPOLOGIES
 
 __all__ = ["build_parser", "main"]
-
-# The recorded seed baseline lives at the repo root (the package runs
-# from a src/ layout), so anchor the lookup to this file, not the CWD.
-_BASELINE_PATH = os.path.normpath(os.path.join(
-    os.path.dirname(__file__), "..", "..", "..",
-    "benchmarks", "baselines", "load_seed.json"))
 
 
 def build_parser() -> argparse.ArgumentParser:

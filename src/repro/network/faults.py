@@ -104,10 +104,14 @@ class FaultyLink:
 
     The hook sits in the link's transmit chain (the link object is
     shared by both channel ends, so every message in both directions
-    passes through).  Non-exempt traffic is scheduled directly through
-    the link's own ``_schedule`` internals — the FIFO horizon, in-flight
-    tracking, and teardown cancellation all keep working — while exempt
-    traffic is forwarded unharmed to the next layer of the chain.
+    passes through).  The fault layer decides, the link schedules: the
+    hook draws *whether* each copy of a message goes, and every
+    surviving copy — like all exempt traffic — is handed to ``forward``,
+    the link's own faithful transmit, so the latency draw, FIFO horizon,
+    in-flight tracking, and teardown cancellation are the link's and
+    exist once.  Only what the faithful transmit cannot express (extra
+    jitter, skipping the FIFO clamp) goes through ``Link._schedule``
+    instead.
     """
 
     def __init__(self, link: Link, plan: FaultPlan,
@@ -117,6 +121,9 @@ class FaultyLink:
         self.plan = plan
         self.exempt = exempt
         self.stats = stats if stats is not None else FaultStats()
+        #: Inside a flap window.  Kept here rather than in ``link.down``
+        #: so an outage can never undo a real teardown.
+        self._outage = False
         link.add_transmit_hook(self._hook, innermost=True)
         for at, duration in plan.flaps:
             link.loop.schedule_at(at, self._flap_down, duration)
@@ -129,53 +136,62 @@ class FaultyLink:
     def _hook(self, origin: LinkEnd, message: Any,
               forward: TransmitFn) -> None:
         link = self.link
-        if link.down:
+        if link.down or self._outage:
             return
+        stats = self.stats
         if self.exempt is not None and self.exempt(message):
-            self.stats.exempted += 1
+            stats.exempted += 1
             forward(origin, message)
             return
         plan = self.plan
-        rng = link.loop.rng
-        tr = link.loop.trace
-        link.sent += 1
+        loop = link.loop
+        rng = loop.rng
+        tr = loop.trace
+        faithful = not plan.jitter and not plan.reorder
+        # ``sent`` counts offers, not copies; the faithful transmit
+        # bumps it per copy, so it is pinned back below.
+        offered = link.sent + 1
         copies = 1
         if plan.duplicate and rng.random() < plan.duplicate:
             copies = 2
-            self.stats.duplicated += 1
+            stats.duplicated += 1
             if tr is not None:
-                tr.emit(FaultInjected(ts=link.loop.now, link=link.name,
+                tr.emit(FaultInjected(ts=loop.now, link=link.name,
                                       action="duplicate",
                                       detail=str(message)))
         for _ in range(copies):
             if plan.drop and rng.random() < plan.drop:
-                self.stats.dropped += 1
+                stats.dropped += 1
                 if tr is not None:
-                    tr.emit(FaultInjected(ts=link.loop.now, link=link.name,
+                    tr.emit(FaultInjected(ts=loop.now, link=link.name,
                                           action="drop",
                                           detail=str(message)))
+                continue
+            stats.forwarded += 1
+            if faithful:
+                forward(origin, message)
                 continue
             delay = link.latency.sample(rng)
             if plan.jitter:
                 delay += rng.uniform(0.0, plan.jitter)
-                self.stats.jittered += 1
+                stats.jittered += 1
             fifo = True
             if plan.reorder and rng.random() < plan.reorder:
                 fifo = False
-                self.stats.reordered += 1
+                stats.reordered += 1
                 if tr is not None:
-                    tr.emit(FaultInjected(ts=link.loop.now, link=link.name,
+                    tr.emit(FaultInjected(ts=loop.now, link=link.name,
                                           action="reorder",
                                           detail=str(message)))
-            link._schedule(origin, message, delay, fifo=fifo)
-            self.stats.forwarded += 1
+            link._schedule(origin, message, delay, fifo)
+        link.sent = offered
 
     # -- link flaps --------------------------------------------------------
     def _flap_down(self, duration: float) -> None:
         link = self.link
-        if link.down:
-            return  # already torn down for real; stay down
-        link.down = True
+        if link.down or self._outage:
+            return  # torn down for real, or already inside an outage
+        self._outage = True
         self.stats.flap_drops += link._drop_in_flight()
         tr = link.loop.trace
         if tr is not None:
@@ -186,7 +202,7 @@ class FaultyLink:
 
     def _flap_up(self) -> None:
         link = self.link
-        link.down = False
+        self._outage = False
         tr = link.loop.trace
         if tr is not None:
             tr.emit(FaultInjected(ts=link.loop.now, link=link.name,

@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Type, Union
 from ..obs.tracer import Tracer
 from ..protocol.channel import (SignalingAgent, SignalingChannel,
                                 DEFAULT_TUNNEL)
+from ..protocol.signals import MetaMessage
 from ..protocol.slot import RetransmitPolicy
 from .eventloop import EventLoop
 from .faults import FaultPlan, FaultStats, FaultyLink
@@ -33,7 +34,6 @@ def _is_meta(message) -> bool:
     paper keeps on reliable transport; fault plans target the tunnel
     signal plane, whose idempotent retransmission is the claim under
     test."""
-    from ..protocol.signals import MetaMessage
     return isinstance(message, MetaMessage)
 
 

@@ -11,8 +11,9 @@ A link between two *virtual* modules inside the same physical component
 
 Observers and adversaries share one seam: the *transmit-hook chain*.  A
 hook wraps the link's faithful transmit (``hook(origin, message,
-forward)``); the fault-injection layer uses one to drop, duplicate, and
-reorder, and the tracing layer uses another to count offered load.  The
+forward)``); the fault-injection layer uses one to decide whether each
+copy of a message goes (survivors are forwarded to the faithful
+transmit), and the tracing layer uses another to count offered load.  The
 most recently added hook is outermost, so a tracer installed after a
 fault policy sees messages before the adversary touches them.
 """
@@ -171,9 +172,9 @@ class Link:
     def _base_transmit(self, origin: LinkEnd, message: Any) -> None:
         """The faithful transmit every hook chain bottoms out in.
 
-        This is ``_schedule`` with the FIFO clamp inlined: the faithful
-        path runs once per signal, and the extra call frame plus
-        re-checks were measurable at load.  Behavior is identical.
+        The one place a delivery gets scheduled on the common path:
+        latency draw, FIFO-horizon clamp, freelist event, ready lane or
+        heap.  The fault layer forwards its surviving copies here too.
         """
         if self.down:
             return
@@ -390,36 +391,27 @@ class Link:
         }
 
     def _schedule(self, origin: LinkEnd, message: Any, delay: float,
-                  fifo: bool = True) -> Event:
-        """Schedule one delivery toward ``origin``'s peer.
+                  fifo: bool) -> None:
+        """Schedule one delivery toward ``origin``'s peer after a
+        caller-chosen ``delay``.
 
-        ``fifo=False`` skips the horizon clamp, letting a message overtake
-        earlier traffic in the same direction — only the fault-injection
-        layer's reorder policy uses it.
+        Only the fault layer calls this, for what the faithful transmit
+        cannot express: a jittered delay, and ``fifo=False`` (the
+        reorder policy: skip the horizon clamp and let the message
+        overtake earlier traffic in the same direction).  Everything
+        else goes through ``_base_transmit``.
         """
         loop = self.loop
         deliver_at = loop._now + delay
         if fifo:
-            # FIFO restoration: never deliver before an earlier message in
-            # the same direction.
             if deliver_at < origin._horizon:
                 deliver_at = origin._horizon
             origin._horizon = deliver_at
-        target = origin._peer
         pending = self._pending
         if len(pending) >= self._compact_at:
             pending = self._compact_pending()
-        if deliver_at >= loop._now:
-            # Inlined loop.schedule_at: one delivery per signal makes
-            # this the single hottest allocation site in a load run.
-            event = Event(deliver_at, 0, next(loop._seq),
-                          target._deliver, (message,), loop)
-            heappush(loop._heap, event)
-            loop._live += 1
-        else:  # pragma: no cover - negative-delay latency models only
-            event = loop.schedule_at(deliver_at, target._deliver, message)
-        pending.append(event)
-        return event
+        pending.append(loop.schedule_at(deliver_at, origin._peer._deliver,
+                                        message))
 
     def in_flight(self) -> int:
         """Number of deliveries scheduled but not yet executed."""

@@ -375,3 +375,87 @@ def test_fallback_configurations_take_the_python_path(scenario, extra_env):
     assert cc == py, (
         "fallback divergence on %s:\npython:   %r\ncompiled: %r"
         % (scenario, py, cc))
+
+
+# ---------------------------------------------------------------------------
+# fault layer: surviving copies ride the C transmit kernel
+# ---------------------------------------------------------------------------
+
+#: The perf benchmark's ``lossy_c`` topology (device-box-device under a
+#: named plan with the default retransmission policy).  Each link's
+#: faithful transmit is wrapped *before* the fault layer goes on, so the
+#: wrapper sees exactly what the layer forwards.
+_FAULT_PATH_CODE = """
+import json
+from repro.network import backend
+from repro.network.faults import FaultStats, FaultyLink, plan_by_name
+from repro.network.network import Network, _is_meta
+from repro.network.transport import Link
+from repro.protocol.codecs import AUDIO
+from repro.protocol.slot import RetransmitPolicy
+
+scheduled = [0]
+_real_schedule = Link._schedule
+def _counting_schedule(self, *args):
+    scheduled[0] += 1
+    return _real_schedule(self, *args)
+Link._schedule = _counting_schedule
+
+net = Network(seed=5, retransmit=RetransmitPolicy())
+a = net.device("A")
+b = net.device("B", auto_accept=True)
+box = net.box("srv")
+ch_a = net.channel(a, box)
+ch_b = net.channel(box, b)
+box.flow_link(ch_a.end_for(box).slot(), ch_b.end_for(box).slot())
+
+stats = FaultStats()
+reached = {"kernel": 0, "other": 0}
+sent_before = ch_a.link.sent + ch_b.link.sent
+def install(link):
+    base = link._base_transmit
+    kind = ("kernel" if type(base) is backend.CORE.LinkTransmit
+            else "other")
+    def counting(origin, message):
+        reached[kind] += 1
+        base(origin, message)
+    link._base_transmit = counting
+    FaultyLink(link, plan_by_name(%r), exempt=_is_meta, stats=stats)
+for ch in (ch_a, ch_b):
+    install(ch.link)
+
+slot = ch_a.end_for(a).slot()
+for _ in range(200):
+    a.open(slot, AUDIO)
+    net.settle()
+    a.close(slot)
+    net.settle()
+print(json.dumps({"scheduled": scheduled[0], "reached": reached,
+                  "stats": stats.to_json(),
+                  "offered": ch_a.link.sent + ch_b.link.sent
+                             - sent_before}))
+"""
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
+def test_faulted_survivors_reach_the_c_transmit_kernel():
+    """Control for the fault layer's fast path, like the dispatch
+    counter above: under a drop/duplicate plan ``Link._schedule`` is
+    never entered and every forwarded copy lands in a ``LinkTransmit``
+    instance; under a jitter plan ``_schedule`` is still the path."""
+    out = json.loads(_probe(_FAULT_PATH_CODE % "drop10+dup10", "compiled"))
+    stats = out["stats"]
+    assert out["scheduled"] == 0
+    assert stats["dropped"] > 0 and stats["duplicated"] > 0
+    assert out["reached"] == {
+        "kernel": stats["forwarded"] + stats["exempted"], "other": 0}
+    # One per offer: copies and drops leave the count alone.
+    assert out["offered"] == (stats["forwarded"] + stats["dropped"]
+                              - stats["duplicated"] + stats["exempted"])
+
+    jitter = json.loads(_probe(_FAULT_PATH_CODE % "lossy-jitter",
+                               "compiled"))
+    assert jitter["scheduled"] == jitter["stats"]["forwarded"] > 0
+    assert jitter["reached"]["kernel"] == jitter["stats"]["exempted"]

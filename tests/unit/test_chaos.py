@@ -94,6 +94,9 @@ def test_cli_converged_run_exits_zero(tmp_path):
     payload = json.loads(bench.read_text())
     assert payload["summary"]["all_converged"] is True
     assert payload["apps"]["click_to_dial"]["converged"] is True
+    # Wall times are only comparable across hosts with the ratio beside
+    # them.
+    assert payload["host_calibration"]["ratio"] > 0
 
 
 def test_cli_json_report_on_stdout():

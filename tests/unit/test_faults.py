@@ -158,6 +158,114 @@ def test_flap_respects_real_teardown():
     assert link.down
 
 
+def test_flap_does_not_resurrect_a_link_torn_down_during_the_outage():
+    """Regression: the end of a flap window used to set ``down = False``
+    unconditionally, so a link torn down for real *inside* the window
+    came back up and delivered."""
+    plan = FaultPlan(flaps=((1.0, 1.0),))
+    loop, link, faulty = lossy_link(0, plan)
+    got = collect(link.ends[1])
+    loop.schedule_at(1.5, link.tear_down)
+    loop.schedule_at(2.5, link.ends[0].send, "late")
+    loop.run()
+    assert link.down
+    assert got == []
+
+
+def count_schedule_calls(monkeypatch):
+    calls = []
+    real = Link._schedule
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+    monkeypatch.setattr(Link, "_schedule", counting)
+    return calls
+
+
+def test_drop_duplicate_plans_ride_the_faithful_transmit(monkeypatch):
+    """The fault layer decides, the link schedules: survivors of a
+    drop/duplicate-only plan reach ``_base_transmit`` and never the
+    fault layer's own ``_schedule``."""
+    calls = count_schedule_calls(monkeypatch)
+    loop = EventLoop(seed=3)
+    link = Link(loop, FixedLatency(0.1))
+    reached = []
+    base = link._base_transmit
+
+    def counting_base(origin, message):
+        reached.append(message)
+        base(origin, message)
+    link._base_transmit = counting_base
+    faulty = FaultyLink(link, PLANS["drop10+dup10"])
+    got = collect(link.ends[1])
+    for i in range(200):
+        link.ends[0].send(i)
+    loop.run()
+    assert calls == []
+    assert faulty.stats.dropped and faulty.stats.duplicated
+    assert len(reached) == faulty.stats.forwarded == len(got)
+    assert link.sent == 200  # offers, not copies
+
+
+def test_zero_latency_faulted_send_lands_on_the_ready_lane():
+    loop = EventLoop(seed=0)
+    link = Link(loop, FixedLatency(0.0))
+    FaultyLink(link, FaultPlan(duplicate=1.0))
+    collect(link.ends[1])
+    link.ends[0].send("x")
+    lanes = loop.lane_stats()
+    assert (lanes["ready_len"], lanes["heap_len"]) == (2, 0)
+
+
+@pytest.mark.parametrize("plan", [FaultPlan(jitter=0.05),
+                                  FaultPlan(reorder=0.5)])
+def test_jitter_and_reorder_plans_still_schedule_themselves(
+        monkeypatch, plan):
+    calls = count_schedule_calls(monkeypatch)
+    loop, link, faulty = lossy_link(1, plan)
+    collect(link.ends[1])
+    for i in range(20):
+        link.ends[0].send(i)
+    loop.run()
+    assert len(calls) == faulty.stats.forwarded == 20
+    assert link.sent == 20
+
+
+def test_tracer_installed_mid_run_sees_the_next_message(monkeypatch):
+    """``loop.trace`` is read per message, and a traced loop stays on
+    the faithful transmit."""
+    from repro.obs.tracer import Tracer
+    calls = count_schedule_calls(monkeypatch)
+    loop, link, faulty = lossy_link(1, FaultPlan(duplicate=1.0))
+    collect(link.ends[1])
+    link.ends[0].send("untraced")
+    tracer = loop.trace = Tracer()
+    link.ends[0].send("traced")
+    loop.trace = None
+    link.ends[0].send("untraced again")
+    assert [(e.action, e.detail) for e in tracer.events] \
+        == [("duplicate", "traced")]
+    assert calls == []
+    assert link.sent == 3 and faulty.stats.forwarded == 6
+
+
+def test_surviving_copies_respect_the_backpressure_mark():
+    """Survivors go down the chain like any other traffic, so a
+    bounded link bounds them too (the old private scheduler bypassed
+    the mark)."""
+    loop = EventLoop(seed=0)
+    link = Link(loop, FixedLatency(0.1))
+    link.set_backpressure(1)
+    FaultyLink(link, FaultPlan(duplicate=1.0))
+    got = collect(link.ends[1])
+    link.ends[0].send("x")
+    assert link.backpressure_stats()["in_flight"] == 1
+    assert link.backpressure_stats()["deferred_now"] == 1
+    loop.run()
+    assert got == ["x", "x"]
+
+
 def test_faults_apply_in_both_directions():
     # The wrapper replaces the shared link.transmit, so each direction
     # passes through the plan.
