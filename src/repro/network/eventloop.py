@@ -27,10 +27,10 @@ Internally the loop keeps two structures:
 The drain loop merges the two lanes by the same total order the heap
 alone used to impose (the order is strict — ``seq`` is unique — so the
 merge is exactly the old execution order, pinned by the runtime
-fingerprint suite).  The clock is written only when an event's
-timestamp actually differs from the previous one — one store per
-same-timestamp *batch*, not per event — and the executed/live counters
-are flushed once per drain.
+fingerprint suite); one drain serves untimed runs, timed runs and
+``step``.  The clock is written only when an event's timestamp differs
+from the previous one — one store per same-timestamp *batch* — and the
+executed counter is flushed once per drain.
 
 Backends
 --------
@@ -48,6 +48,7 @@ import heapq
 import itertools
 import random
 from collections import deque
+from math import inf
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
                     Optional, Tuple)
 
@@ -272,13 +273,7 @@ class EventLoop:
         """
         now = self._now
         if when < now:
-            # Tolerance scales with the clock so accumulated drift at
-            # large sim times is still absorbed; 1e-9 relative ~= one
-            # ulp at double precision for sane simulation horizons.
-            if now - when > 1e-9 * (abs(now) if abs(now) > 1.0 else 1.0):
-                raise ValueError("cannot schedule an event in the past "
-                                 "(when=%r, now=%r)" % (when, now))
-            when = now
+            when = self._clamp_drift(when, "schedule an event")
         event = Event(when, priority, next(self._seq), callback, args, self)
         if when == now and priority == 0:
             self._ready.append(event)
@@ -293,6 +288,17 @@ class EventLoop:
         self._ready.append(event)
         self._live += 1
         return event
+
+    def _clamp_drift(self, when: float, what: str) -> float:
+        """``now`` for a ``when < now`` that is only float drift; a
+        genuinely past time raises ``ValueError``."""
+        now = self._now
+        # Relative tolerance, so drift at large sim times is absorbed
+        # too; 1e-9 relative ~= one ulp for sane simulation horizons.
+        if now - when > 1e-9 * (abs(now) if abs(now) > 1.0 else 1.0):
+            raise ValueError("cannot %s in the past (when=%r, now=%r)"
+                             % (what, when, now))
+        return now
 
     # ------------------------------------------------------------------
     # execution
@@ -330,35 +336,21 @@ class EventLoop:
                 ready.clear()
                 ready.extend(alive)
 
-    def _execute(self, event: Event) -> None:
-        """Run one popped, live event (detaching it from the counter
-        first, so a post-hoc ``cancel()`` cannot double-count)."""
-        event._loop = None
-        self._live -= 1
-        self._now = event.time
-        self.executed += 1
-        event.callback(*event.args)
-
     def _front(self, pop_cancelled: bool = False) -> Optional[Event]:
         """The earliest live event across both lanes, or ``None``.
         With ``pop_cancelled`` the tombstones in front of it are
-        discarded while scanning (used by diagnostics paths)."""
+        discarded while scanning (diagnostics, budget-stopped timed
+        runs)."""
         heap, ready = self._heap, self._ready
         if pop_cancelled:
             while heap and heap[0].cancelled:
                 heapq.heappop(heap)
             while ready and ready[0].cancelled:
                 ready.popleft()
-        f = heap[0] if heap else None
-        r = ready[0] if ready else None
-        if f is None or (f is not None and f.cancelled):
-            f = None
-        if r is None or (r is not None and r.cancelled):
-            r = None
-        if f is None:
-            return r
-        if r is None:
-            return f
+        f = heap[0] if heap and not heap[0].cancelled else None
+        r = ready[0] if ready and not ready[0].cancelled else None
+        if f is None or r is None:
+            return r if f is None else f
         return f if _earlier(f, r) else r
 
     def step(self) -> bool:
@@ -367,60 +359,42 @@ class EventLoop:
         Returns ``True`` if an event ran, ``False`` if no live event
         remains in either lane.
         """
-        heap, ready = self._heap, self._ready
-        while heap or ready:
-            if ready:
-                if heap:
-                    f, r = heap[0], ready[0]
-                    if _earlier(f, r):
-                        event = heapq.heappop(heap)
-                    else:
-                        event = ready.popleft()
-                else:
-                    event = ready.popleft()
-            else:
-                event = heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            self._execute(event)
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
         """Run events until both lanes drain, ``until`` passes, or the
         budget of ``max_events`` is spent.  Returns the number of events
-        executed by this call.
+        executed by this call.  A timed run leaves the clock on ``until``
+        unless the budget stopped it with a live event due by then; an
+        ``until`` before ``now`` raises ``ValueError`` (drift is clamped).
         """
+        limit = -1 if max_events is None else max_events
         if until is None:
-            # Untimed runs (settle / run_until_quiescent / drain) are
-            # the hot case; the batched drain pops directly with no
-            # deadline to peek against.  Under the compiled backend the
-            # whole drain, including counter flushing, runs in C.
-            limit = -1 if max_events is None else max_events
+            # Under the compiled backend the untimed drain runs in C.
             if _drain is not None:
                 return _drain(self, limit)
-            return self._drain_py(limit)
-        return self._run_timed(until, max_events)
+            return self._drain_py(limit, inf)
+        if until < self._now:
+            until = self._clamp_drift(until, "run to a time")
+        return self._drain_py(limit, until)
 
-    def _drain_py(self, limit: int) -> int:
-        # Hot loop: lane bookkeeping is localized and the body of
-        # _execute is inlined — at hundreds of thousands of events per
-        # settle the attribute reads and the extra call frame are the
-        # dominant cost, not the callbacks.  ``limit`` of -1 (no
-        # budget) never equals a non-negative count, so the budget
-        # check is one compare.  The executed/live counters are
-        # flushed once at the end (exception-safe via finally) instead
-        # of updated per event; nothing reads them mid-run — cancel()
-        # only uses ``_live`` for its compaction heuristic, which
-        # tolerates a high estimate.  The clock is stored only when a
-        # popped event's timestamp differs from the current instant:
-        # one store per same-timestamp batch.
+    def _drain_py(self, limit: int, until: float) -> int:
+        # Hot loop, event execution inlined: at hundreds of thousands
+        # of events per settle, attribute reads and call frames cost
+        # more than the callbacks.  ``limit`` -1 never equals a count.
+        # ``executed`` (and, untimed, ``_live``) is flushed once in the
+        # finally: nothing reads them mid-run, and cancel()'s compaction
+        # heuristic tolerates a high ``_live``.  A timed run keeps
+        # ``_live`` exact and pops heap-front tombstones eagerly: cancel()
+        # compacts by ``_live``, and the soak's lane gate samples the heap
+        # a timed run leaves.  The clock is stored once per timestamp.
         executed = 0
         heap = self._heap
         ready = self._ready
         heappop = heapq.heappop
         rpop = ready.popleft
+        timed = until != inf
         try:
             while True:
                 if executed == limit:
@@ -429,20 +403,27 @@ class EventLoop:
                     if heap:
                         f = heap[0]
                         r = ready[0]
-                        # Inline _earlier(f, r) with r.priority == 0
-                        # (the ready-lane invariant).
+                        # Inline _earlier(f, r) with r.priority == 0 (the
+                        # ready-lane invariant); a timed run also pops a
+                        # heap-front tombstone before it can be buried.
                         if (f.time < r.time
                                 or (f.time == r.time
                                     and (f.priority < 0
                                          or (f.priority == 0
-                                             and f.seq < r.seq)))):
+                                             and f.seq < r.seq)))
+                                or (timed and f.cancelled)):
                             event = heappop(heap)
                         else:
                             event = rpop()
                     else:
                         event = rpop()
                 elif heap:
-                    event = heappop(heap)
+                    # The one deadline peek: ready events are due now,
+                    # and a heap front the merge picks is no later.
+                    event = heap[0]
+                    if event.time > until and not event.cancelled:
+                        break
+                    heappop(heap)
                 else:
                     break
                 if event.cancelled:
@@ -451,59 +432,22 @@ class EventLoop:
                 # detach before the callback so a post-hoc cancel()
                 # cannot double-count
                 event._loop = None
+                if timed:
+                    self._live -= 1
                 t = event.time
                 if t != self._now:
                     self._now = t
                 event.callback(*event.args)
         finally:
-            self._live -= executed
+            if not timed:
+                self._live -= executed
             self.executed += executed
-        return executed
-
-    def _run_timed(self, until: float,
-                   max_events: Optional[int]) -> int:
-        executed = 0
-        heap = self._heap
-        ready = self._ready
-        heappop = heapq.heappop
-        while heap or ready:
-            # Peek the earliest front, draining tombstones lazily
-            # (tombstones never advance the clock and never count
-            # against the budget).
-            f = heap[0] if heap else None
-            if f is not None and f.cancelled:
-                heappop(heap)
-                continue
-            r = ready[0] if ready else None
-            if r is not None and r.cancelled:
-                ready.popleft()
-                continue
-            if f is None:
-                event, use_heap = r, False
-            elif r is None:
-                event, use_heap = f, True
-            elif _earlier(f, r):
-                event, use_heap = f, True
-            else:
-                event, use_heap = r, False
-            if event.time > until:
+        if timed:
+            # Idle time passes: the clock lands on the deadline unless
+            # the budget stopped the run with a live event due by then.
+            front = self._front(True) if executed == limit else None
+            if front is None or front.time > until:
                 self._now = until
-                return executed
-            if max_events is not None and executed >= max_events:
-                return executed
-            if use_heap:
-                heappop(heap)
-            else:
-                ready.popleft()
-            executed += 1
-            # inline _execute (see above)
-            event._loop = None
-            self._live -= 1
-            self._now = event.time
-            self.executed += 1
-            event.callback(*event.args)
-        if until > self._now:
-            self._now = until
         return executed
 
     def run_until_quiescent(self, max_events: int = 1_000_000) -> int:
@@ -531,7 +475,7 @@ class EventLoop:
     def advance(self, duration: float) -> int:
         """Run all events in the next ``duration`` seconds of simulated
         time, then set the clock to exactly ``now + duration``."""
-        return self._run_timed(self._now + duration, None)
+        return self.run(self._now + duration)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<EventLoop t=%g pending=%d executed=%d>" % (

@@ -174,7 +174,8 @@ class Link:
 
         The one place a delivery gets scheduled on the common path:
         latency draw, FIFO-horizon clamp, freelist event, ready lane or
-        heap.  The fault layer forwards its surviving copies here too.
+        heap.  The fault layer forwards its surviving copies here too,
+        and backpressure sends through it.
         """
         if self.down:
             return
@@ -299,8 +300,9 @@ class Link:
         hit the wire behavior — timing, ordering, RNG draws — is
         byte-identical to an unbounded link under both backends: the
         bounded transmit replaces the faithful one at the bottom of the
-        hook chain and reproduces it exactly, only routing delivery
-        through an accounting trampoline.
+        hook chain, sends through it, and only retargets each delivery
+        it schedules through an accounting trampoline.  ``sent`` counts
+        every offer once, when it is offered, deferred or not.
 
         ``None`` removes the bound (deferred messages already queued
         are drained by the still-in-flight deliveries).
@@ -326,12 +328,13 @@ class Link:
         self._bp_high = high_water
 
     def _bp_transmit(self, origin: LinkEnd, message: Any) -> None:
-        """Bounded transmit: defer above the high-water mark, otherwise
-        behave exactly like :meth:`_base_transmit`."""
+        """Bounded transmit: defer above the high-water mark, or send."""
         if self.down:
             return
         high = self._bp_high
         if high is not None and self._bp_live >= high:
+            # ``sent`` counts the offer now, not when it drains.
+            self.sent += 1
             self._bp_deferred.append((origin, message))
             self.deferred_total += 1
             depth = len(self._bp_deferred)
@@ -341,32 +344,13 @@ class Link:
         self._bp_send(origin, message)
 
     def _bp_send(self, origin: LinkEnd, message: Any) -> None:
-        # Mirrors _base_transmit exactly (same clamp, same event time /
-        # priority / seq draw, same lane choice) so the no-deferral
-        # trace is byte-identical; delivery goes through _bp_deliver to
-        # keep the in-flight count and drain the queue.
-        self.sent += 1
-        latency = self.latency
-        delay = latency.fixed_delay
-        if delay is None:
-            delay = latency.sample(self.loop.rng)
-        loop = self.loop
-        deliver_at = loop._now + delay
-        if deliver_at < origin._horizon:
-            deliver_at = origin._horizon
-        origin._horizon = deliver_at
-        target = origin._peer
-        pending = self._pending
-        if len(pending) >= self._compact_at:
-            pending = self._compact_pending()
-        event = Event(deliver_at, 0, next(loop._seq),
-                      self._bp_deliver, (target, message), loop)
-        if deliver_at == loop._now:
-            loop._ready.append(event)
-        else:
-            heappush(loop._heap, event)
-        loop._live += 1
-        pending.append(event)
+        # The faithful transmit schedules the delivery and appends it
+        # to _pending; retarget it through _bp_deliver, which keeps the
+        # in-flight count and drains the queue.  Callers checked down.
+        self._bp_faithful(origin, message)
+        event = self._pending[-1]
+        event.callback = self._bp_deliver
+        event.args = (origin._peer, message)
         self._bp_live += 1
 
     def _bp_deliver(self, target: LinkEnd, message: Any) -> None:
@@ -379,6 +363,7 @@ class Link:
                      or self._bp_live < self._bp_high):
             origin, queued = deferred.popleft()
             self._bp_send(origin, queued)
+            self.sent -= 1  # counted when it was offered
 
     def backpressure_stats(self) -> dict:
         """Deterministic snapshot of the backpressure counters."""

@@ -5,6 +5,7 @@ is never hit."""
 import pytest
 
 from repro.network.eventloop import EventLoop
+from repro.network.faults import FaultPlan, FaultyLink
 from repro.network.latency import FixedLatency
 from repro.network.network import Network
 from repro.network.transport import Link
@@ -95,6 +96,35 @@ def test_removing_the_bound_restores_the_faithful_transmit():
     assert loop.pending() == 6
     loop.run()
     assert got == ["a", 0, 1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("faulted", [False, True])
+def test_sent_counts_each_offer_once(faulted):
+    """``sent`` counts an offer when it is made, whether it goes out at
+    once or waits behind the mark, and never again when it drains --
+    also under a fault layer, which pins ``sent`` to offers itself."""
+    loop, link, got = _link(high_water=1)
+    if faulted:
+        FaultyLink(link, FaultPlan())
+    for i in range(4):
+        link.ends[0].send(i)
+    assert link.backpressure_stats()["deferred_now"] == 3
+    assert link.sent == 4
+    loop.run()
+    assert got == [0, 1, 2, 3]
+    assert link.sent == 4
+
+
+def test_sent_counts_offers_dropped_by_teardown():
+    loop, link, got = _link(high_water=1)
+    for i in range(4):
+        link.ends[0].send(i)
+    link.tear_down()
+    loop.run()
+    assert got == []
+    assert link.sent == 4
+    link.ends[0].send("late")  # a dead link takes no offers
+    assert link.sent == 4
 
 
 def _call_fingerprint(backpressure):

@@ -355,6 +355,48 @@ def test_advance_lands_clock_exactly_even_when_idle():
     assert loop.now == 0.5
 
 
+def test_run_until_with_budget_spent_on_the_last_event_reaches_until():
+    """The budget holds the clock only while a live event due by the
+    deadline remains; with nothing left, idle time still passes."""
+    loop = EventLoop()
+    for delay in (1.0, 2.0):
+        loop.schedule(delay, lambda: None)
+    loop.schedule(3.0, lambda: None).cancel()
+    assert loop.run(until=10.0, max_events=2) == 2
+    assert loop.now == 10.0
+    assert loop.lane_stats()["heap_len"] == 0  # the tombstone went too
+
+
+def test_timed_run_never_turns_the_clock_back():
+    """A deadline before ``now`` is an error, not a rewind (a rewound
+    clock would stamp the next ``call_soon`` before events already in
+    the ready lane)."""
+    loop = EventLoop()
+    loop.schedule(3.0, lambda: None)
+    loop.run(until=2.0)
+    with pytest.raises(ValueError):
+        loop.run(until=1.0)
+    with pytest.raises(ValueError):
+        loop.advance(-0.5)
+    assert loop.now == 2.0
+    assert loop.call_soon(lambda: None).time == 2.0
+    assert loop.pending() == 2
+
+
+def test_timed_run_clamps_float_drift_to_now():
+    loop = EventLoop()
+    loop.schedule(0.1, lambda: None)
+    loop.schedule(0.2, lambda: None)
+    loop.run()
+    now = loop.now
+    out = []
+    loop.call_soon(out.append, "due")
+    assert loop.run(until=now - 1e-12) == 1
+    assert out == ["due"] and loop.now == now
+    assert loop.advance(-1e-12) == 0
+    assert loop.now == now
+
+
 def test_advance_with_cancelled_front_reaches_full_duration():
     loop = EventLoop()
     loop.schedule(0.1, lambda: None).cancel()
