@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "instead of the catalog (exits 1)")
     parser.add_argument("--leak-gate", action="store_true",
                         help="replay a bundled app and gate on "
-                             "object-count stability")
+                             "object-count stability (counts cover "
+                             "only objects the replays allocated)")
     parser.add_argument("--runs", type=int, default=5, metavar="N",
                         help="measured replays for --leak-gate "
                              "(default 5, after 2 warmups)")

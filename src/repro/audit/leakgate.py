@@ -1,7 +1,9 @@
 """Pass 4 (dynamic): the refcount/object-count leak gate.
 
 Replays a bundled application scenario N times and asserts that the
-process's live-object population is stable across the tail runs.  The
+live-object population the replays allocated is stable across the
+tail runs (the heap that existed before the first replay is frozen
+out of the census, see :mod:`repro.obs.census`).  The
 static arena checker proves release sites exist; this gate proves the
 whole runtime — including the C extension's 100+ manual DECREF sites —
 actually returns to steady state.  CI runs it against the ASan/UBSan
@@ -17,10 +19,11 @@ that are steady state, not leaks.  On debug builds of CPython,
 
 from __future__ import annotations
 
-import gc
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from ..obs.census import census, heap_scope
 
 __all__ = ["LeakReport", "run_leak_gate", "DEFAULT_APP"]
 
@@ -106,15 +109,19 @@ def _reset_bounded_caches() -> None:
 
 def _measure() -> Tuple[int, Optional[int]]:
     _reset_bounded_caches()
-    gc.collect()
     total = getattr(sys, "gettotalrefcount", None)
-    return len(gc.get_objects()), (total() if total else None)
+    return census().walked, (total() if total else None)
 
 
 def run_leak_gate(app: str = DEFAULT_APP, runs: int = 5,
                   warmup: int = 2, seed: int = 7,
                   tolerance: int = DEFAULT_TOLERANCE) -> LeakReport:
-    """Replay ``app`` and measure live objects after each run."""
+    """Replay ``app`` and measure live objects after each run.
+
+    The replays run inside one :func:`~repro.obs.census.heap_scope`,
+    so each count covers only objects the replays allocated and still
+    hold, not the interpreter's import-time heap.
+    """
     from ..chaos.scenarios import SCENARIOS
     from ..network.network import Network
 
@@ -123,11 +130,12 @@ def run_leak_gate(app: str = DEFAULT_APP, runs: int = 5,
     scenario = SCENARIOS[app]
     report = LeakReport(app=app, runs=runs, warmup=warmup,
                         tolerance=tolerance)
-    for _ in range(warmup + runs):
-        net = Network(seed=seed)
-        scenario(net)
-        del net
-        count, refs = _measure()
-        report.counts.append(count)
-        report.refcounts.append(refs)
+    with heap_scope():
+        for _ in range(warmup + runs):
+            net = Network(seed=seed)
+            scenario(net)
+            del net
+            count, refs = _measure()
+            report.counts.append(count)
+            report.refcounts.append(refs)
     return report

@@ -17,7 +17,10 @@ re-describe mid-hold, and close.  The core box may run admission
 control; links may run backpressure.
 
 Per epoch the harness samples RSS, per-type object counts (after a
-full ``gc.collect``), and the scheduler's lane stats; the memory gate
+full ``gc.collect``), the census's own cost, and the scheduler's lane
+stats.  The census is scoped to the run: the heap that existed before
+it is frozen out of the collector (:func:`repro.obs.census.heap_scope`),
+so each epoch walks only what the soak allocated.  The memory gate
 compares the last post-warmup epoch against the first and fails on
 growth beyond tolerance.  Safety is checked at the end of the run:
 every slot dead, every session accounted for (completed, shed to
@@ -30,26 +33,25 @@ Everything observable flows through a
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_left
 from dataclasses import asdict
+from time import perf_counter
 from typing import Any, Dict, List, NamedTuple, Optional
 
 from ..core.admission import AdmissionPolicy
+from ..media.endpoint import Port
+from ..network import eventloop
 from ..network.backend import describe as _backend_describe
 from ..network.network import Network
+from ..obs.census import census, heap_scope
 from ..obs.metrics import MetricsRegistry
+from ..protocol.channel import SignalingChannel
 from ..protocol.codecs import AUDIO
+from ..protocol.signals import TunnelMessage
 from ..protocol.slot import RetransmitPolicy, Slot
 
 __all__ = ["SoakProfile", "SOAK_PROFILES", "run_soak", "memory_gate",
            "TRACKED_TYPES"]
-
-#: Object types whose population the per-epoch census tracks.  Chosen
-#: to cover every arena/pool and per-session allocation in the runtime:
-#: scheduler events, wire envelopes, protocol endpoints, media ports.
-TRACKED_TYPES = ("Event", "TunnelMessage", "Slot", "Port",
-                 "SignalingChannel", "_Session")
 
 #: Soak channels retry busy refusals on a short budget so a shed call
 #: degrades to ``noMedia`` within a few simulated seconds instead of
@@ -127,6 +129,19 @@ class _Session:
         self.slot = slot
         self.close_event = None
         self.redescribe_event = None
+
+
+#: Classes whose population the per-epoch census tracks, counted by
+#: identity.  Chosen to cover every arena/pool and per-session
+#: allocation in the runtime: scheduler events, wire envelopes, protocol
+#: endpoints, media ports.  ``Event`` is the backend-selected scheduler
+#: event (the C type under the compiled backend), never a namesake such
+#: as ``threading.Event``.
+_TRACKED_CLASSES = (eventloop.Event, TunnelMessage, Slot, Port,
+                    SignalingChannel, _Session)
+#: Their names: the keys of every sample's ``objects`` and of the
+#: memory gate's ``objects.*`` checks.
+TRACKED_TYPES = tuple(cls.__name__ for cls in _TRACKED_CLASSES)
 
 
 class _SoakDriver:
@@ -317,16 +332,15 @@ def _rss_kb() -> int:
     return 0
 
 
-def _object_census() -> Dict[str, int]:
-    """Count live instances of the tracked runtime types after a full
-    collection, so cycles awaiting collection don't read as leaks."""
-    gc.collect()
-    counts = dict.fromkeys(TRACKED_TYPES, 0)
-    for obj in gc.get_objects():
-        name = type(obj).__name__
-        if name in counts:
-            counts[name] += 1
-    return counts
+def _census_sample() -> Dict[str, Any]:
+    """The epoch sample's census fields: live instances of the tracked
+    runtime types, and what taking the census cost — its wall seconds
+    and the number of objects it walked."""
+    start = perf_counter()
+    counts, walked = census(_TRACKED_CLASSES)
+    return {"objects": {cls.__name__: n for cls, n in counts.items()},
+            "census_s": perf_counter() - start,
+            "census_walked": walked}
 
 
 def memory_gate(samples: List[Dict[str, Any]], warmup_epochs: int,
@@ -379,8 +393,17 @@ def run_soak(profile: SoakProfile, seed: int = 0,
     """Run one soak and return its JSON-ready report.
 
     ``report["ok"]`` is the run verdict: memory gate passed (when
-    ``gate``) and zero safety violations.
+    ``gate``) and zero safety violations.  The run happens inside a
+    :func:`~repro.obs.census.heap_scope`, so the per-epoch census walks
+    only what the soak allocated; the collector is restored however the
+    run ends.
     """
+    with heap_scope():
+        return _run_soak(profile, seed, gate)
+
+
+def _run_soak(profile: SoakProfile, seed: int,
+              gate: bool) -> Dict[str, Any]:
     driver = _SoakDriver(profile, seed)
     loop = driver.loop
     metrics = MetricsRegistry()
@@ -392,7 +415,7 @@ def run_soak(profile: SoakProfile, seed: int = 0,
             "epoch": epoch,
             "sim_time": loop.now,
             "rss_kb": _rss_kb(),
-            "objects": _object_census(),
+            **_census_sample(),
             "lanes": loop.lane_stats(),
             "sessions": driver.sessions_snapshot(),
         })

@@ -21,7 +21,9 @@ end-state fingerprints:
 * :mod:`~repro.obs.metrics` — counters and simulated-clock histograms
   (signal counts, retries, time-to-``bothFlowing`` percentiles);
 * :mod:`~repro.obs.export` — Chrome ``trace_event`` JSON and plain-text
-  signaling timelines (cross-checked against :mod:`repro.tools.msc`).
+  signaling timelines (cross-checked against :mod:`repro.tools.msc`);
+* :mod:`~repro.obs.census` — the run-scoped heap census behind the
+  soak's memory gate and the audit leak gate.
 
 Everything is keyed to the simulated clock, so one seed produces one
 byte-identical trace; and every emission site in the runtime is guarded

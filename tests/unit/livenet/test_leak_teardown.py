@@ -8,7 +8,6 @@ returns to its baseline.
 """
 
 import asyncio
-import gc
 
 from repro.core import box as box_module
 from repro.livenet.cli import _http_json
@@ -16,6 +15,7 @@ from repro.livenet.gateway import Gateway
 from repro.livenet.journal import host_for
 from repro.livenet.seam import HalfChannel, RemoteRelay
 from repro.livenet.tcp import LiveNode
+from repro.obs.census import census, heap_scope
 from repro.protocol.channel import ChannelEnd, SignalingChannel
 from repro.protocol.slot import Slot
 
@@ -94,12 +94,7 @@ def test_repeated_calls_leak_nothing():
 
 
 def _census():
-    gc.collect()
-    counts = dict.fromkeys(_PER_CALL, 0)
-    for obj in gc.get_objects():
-        if type(obj) in counts:
-            counts[type(obj)] += 1
-    return {cls.__name__: n for cls, n in counts.items()}
+    return {cls.__name__: n for cls, n in census(_PER_CALL).counts.items()}
 
 
 def test_two_hundred_calls_retain_no_call_objects():
@@ -112,17 +107,20 @@ def test_two_hundred_calls_retain_no_call_objects():
         await gateway.start()
         a.add_peer("b", *b.listen_address)
         try:
-            # Fill the gateway box's bounded meta log first: until it
-            # wraps, each call's entries legitimately stay.
-            for _ in range(box_module._META_LOG_MAX):
-                await gateway.place_call("bob@b", timeout=15)
-            assert len(gateway.box.meta_log) == box_module._META_LOG_MAX
-            assert await b.wait_for(lambda: not b.channels)
-            before = _census()
-            for _ in range(200):
-                await gateway.place_call("bob@b", timeout=15)
-            assert await b.wait_for(lambda: not b.channels)
-            assert _census() == before
+            # The census sees only objects the calls allocated.
+            with heap_scope():
+                # Fill the gateway box's bounded meta log first: until
+                # it wraps, each call's entries legitimately stay.
+                for _ in range(box_module._META_LOG_MAX):
+                    await gateway.place_call("bob@b", timeout=15)
+                assert len(gateway.box.meta_log) == \
+                    box_module._META_LOG_MAX
+                assert await b.wait_for(lambda: not b.channels)
+                before = _census()
+                for _ in range(200):
+                    await gateway.place_call("bob@b", timeout=15)
+                assert await b.wait_for(lambda: not b.channels)
+                assert _census() == before
             assert len(a.net.channels) == 0
             assert not a.channels
         finally:
