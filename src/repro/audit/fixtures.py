@@ -135,6 +135,29 @@ def _rc805_gen() -> Fixture:
         state="goal_generation")
 
 
+# -- flowlink kernel surface --------------------------------------------
+
+def _rc805_utd() -> Fixture:
+    # The flowlink kernel's up-to-date flags, renamed on the C side
+    # only: C would fall back on every signal (or, worse, write a dict
+    # FlowLink never reads).
+    return Fixture(
+        name="audit-RC805-utd", code="RC805",
+        run=_doctored_c('INTERN(_utd, "_utd");',
+                        'INTERN(_utd, "_up_to_date");'),
+        state="_up_to_date")
+
+
+def _rc804_flowlink() -> Fixture:
+    # The kernel's FlowLink type pin resolving a class the goal module
+    # renamed: the exact-type gate would never match.
+    return Fixture(
+        name="audit-RC804-flowlink", code="RC804",
+        run=_doctored_c('PyObject_GetAttrString(mod, "FlowLink")',
+                        'PyObject_GetAttrString(mod, "FlowLinkGoal")'),
+        state="repro.core.flowlink.FlowLinkGoal")
+
+
 def _det_fixture(name: str, code: str, source: str,
                  state: str) -> Fixture:
     def run() -> List[Diagnostic]:
@@ -260,5 +283,6 @@ def all_audit_fixtures() -> List[Fixture]:
     return [fn() for fn in (
         _rc801, _rc802, _rc803, _rc804, _rc805,
         _rc803_batch, _rc804_poison, _rc804_state, _rc805_gen,
+        _rc805_utd, _rc804_flowlink,
         _rc810, _rc811, _rc812, _rc813, _rc814,
         _rc820, _rc821, _rc822, _rc823)]

@@ -18,7 +18,8 @@ runtime core:
 :func:`extract_py_surface`
     :mod:`ast`-based extraction from the Python reference modules
     (``eventloop``, ``transport``, ``node``, ``backend``, ``channel``,
-    ``slot``, ``signals``): which ``_CORE.*`` kernels are consumed,
+    ``slot``, ``signals``, the goal machinery and ``flowlink``, and
+    ``descriptor``): which ``_CORE.*`` kernels are consumed,
     the comparator field order of ``Event.__lt__`` and ``_earlier``,
     the arena cap constants, the expected ABI version, and the
     universe of attribute names the modules define or touch.
@@ -68,6 +69,12 @@ REFERENCE_MODULES: Tuple[str, ...] = (
     "core/box.py",
     "core/maps.py",
     "core/program.py",
+    # The flowlink kernel: FlowLink's _utd/_reopen flags and counters,
+    # Goal.attached, and the descriptor/selector/codec fields its
+    # select validation reads.
+    "core/flowlink.py",
+    "core/goals.py",
+    "protocol/descriptor.py",
 )
 
 

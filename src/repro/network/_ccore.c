@@ -27,7 +27,10 @@
  *   Process        C twin of the untraced TunnelMessage fast path of
  *                  ChannelEnd._process (falls back to the Python
  *                  method for traced runs, meta messages, and every
- *                  other cold path).
+ *                  other cold path), including the box's goal dispatch
+ *                  and, for an exact FlowLink over reliable strict
+ *                  slots, FlowLink.goal_receive and the slot sends it
+ *                  issues (the flowlink kernel).
  *
  * Correctness invariants shared with the Python side:
  *   - events execute in strict (time, priority, seq) order; the ready
@@ -45,7 +48,7 @@
 #include <Python.h>
 #include <structmember.h>
 
-#define CCORE_ABI_VERSION 2
+#define CCORE_ABI_VERSION 3
 
 /* Caps mirrored from the Python side (transport._FREELIST_MAX,
  * channel._ENV_POOL_MAX, and eventloop._DELIVER_BATCH_MAX). */
@@ -77,6 +80,11 @@ static struct {
     /* goal dispatch + memoized poll */
     PyObject *maps, *_by_slot, *goal_receive, *after_stimulus, *admission;
     PyObject *goal_gen, *_poll_gen;
+    /* flowlink kernel */
+    PyObject *_utd, *_reopen, *attached, *_owner, *answers, *id, *codec;
+    PyObject *codecs, *is_real, *_no_media, *_busy_medium;
+    PyObject *_busy_descriptor, *_busy_attempts, *opens_sent;
+    PyObject *describes_sent, *forwarded_selects, *discarded_selects;
 } S;
 
 static PyObject *g_empty_tuple;
@@ -102,12 +110,17 @@ static PyObject *g_sig_describe;     /* signals.Describe */
 static PyObject *g_sig_select;       /* signals.Select */
 static PyObject *g_sig_busy;         /* signals.Busy */
 static PyObject *g_closeack;         /* slot._CLOSEACK singleton */
+static PyObject *g_close;            /* slot._CLOSE singleton */
 /* goal dispatch: the reference Box.on_tunnel_signal function (methods
  * bound to it with no admission control are inlined in C) */
 static PyObject *g_box_ots;
+/* flowlink kernel: goals of exactly this type run goal_receive in C */
+static PyObject *g_flowlink_type;    /* repro.core.flowlink.FlowLink */
 /* backend.ARENA_POISON: poisoned-release debugging disables every slot
  * fast path so the reference receive sees the poisoned signals */
 static int g_arena_poison;
+
+static int resolve_slot_fields(void);
 
 static int
 ensure_protocol(void)
@@ -143,7 +156,7 @@ ensure_protocol(void)
     if (g_slot_type == NULL)
         return -1;
     g_slot_receive = PyObject_GetAttrString(g_slot_type, "receive");
-    if (g_slot_receive == NULL)
+    if (g_slot_receive == NULL || resolve_slot_fields() < 0)
         return -1;
     mod = PyImport_ImportModule("repro.protocol.slot");
     if (mod == NULL)
@@ -161,10 +174,12 @@ ensure_protocol(void)
     g_state_flowing = PyObject_GetAttrString(mod, "FLOWING");
     g_state_closing = PyObject_GetAttrString(mod, "CLOSING");
     g_closeack = PyObject_GetAttrString(mod, "_CLOSEACK");
+    g_close = PyObject_GetAttrString(mod, "_CLOSE");
     Py_DECREF(mod);
     if (g_state_opening == NULL || g_state_closed == NULL
         || g_state_opened == NULL || g_state_flowing == NULL
-        || g_state_closing == NULL || g_closeack == NULL)
+        || g_state_closing == NULL || g_closeack == NULL
+        || g_close == NULL)
         return -1;
     mod = PyImport_ImportModule("repro.network.backend");
     if (mod == NULL)
@@ -187,6 +202,13 @@ ensure_protocol(void)
     g_box_ots = PyObject_GetAttr(box_cls, S.on_tunnel_signal);
     Py_DECREF(box_cls);
     if (g_box_ots == NULL)
+        return -1;
+    mod = PyImport_ImportModule("repro.core.flowlink");
+    if (mod == NULL)
+        return -1;
+    g_flowlink_type = PyObject_GetAttrString(mod, "FlowLink");
+    Py_DECREF(mod);
+    if (g_flowlink_type == NULL)
         return -1;
     g_kind_open = PyUnicode_InternFromString("open");
     g_kind_close = PyUnicode_InternFromString("close");
@@ -1277,6 +1299,114 @@ static PyTypeObject FinishType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* slot fields                                                         */
+/* ------------------------------------------------------------------ */
+/* Slot declares __slots__, so every field the slot kernels read or
+ * write is an object pointer at a fixed offset in an exact Slot
+ * instance: read and written here the way its member descriptor does,
+ * without an attribute lookup.  The offsets are resolved once, in
+ * ensure_protocol, which refuses a Slot whose fields are not plain
+ * object members.  Only exact Slot instances may be passed. */
+enum {
+    SF_STATE, SF_MEDIUM, SF_RD, SF_LD, SF_SEL_RECV, SF_SEL_SENT,
+    SF_FAILED, SF_RETRANSMIT, SF_STRICT, SF_LOOP, SF_OWNER, SF_END, SF_TX,
+    SF_RETX_KIND, SF_RETX_TIMER, SF_STALE_TIMER, SF_BUSY_TIMER,
+    SF_BUSY_MEDIUM, SF_BUSY_DESC, SF_BUSY_ATTEMPTS, SF_SIGNALS_RECEIVED,
+    SF_SIGNALS_SENT, SF_RACE_DROPS, SF_STALE_DROPS, SF_COUNT
+};
+static Py_ssize_t g_slot_off[SF_COUNT];
+static PyObject *g_one;              /* the int 1, for counter bumps */
+
+static int
+resolve_slot_fields(void)
+{
+    PyObject *names[SF_COUNT] = {
+        S.state, S.medium, S.remote_descriptor, S.local_descriptor,
+        S.selector_received, S.selector_sent, S.failed, S.retransmit,
+        S.strict, S._loop, S._owner, S._end, S._tx, S._retx_kind,
+        S._retx_timer, S._stale_timer, S._busy_timer, S._busy_medium,
+        S._busy_descriptor, S._busy_attempts, S.signals_received,
+        S.signals_sent, S.race_drops, S.stale_drops};
+    int f;
+    for (f = 0; f < SF_COUNT; f++) {
+        PyObject *d = PyObject_GetAttr(g_slot_type, names[f]);
+        int ok;
+        if (d == NULL)
+            return -1;
+        ok = Py_IS_TYPE(d, &PyMemberDescr_Type)
+            && ((PyMemberDescrObject *)d)->d_member->type == T_OBJECT_EX;
+        if (ok)
+            g_slot_off[f] = ((PyMemberDescrObject *)d)->d_member->offset;
+        Py_DECREF(d);
+        if (!ok) {
+            PyErr_Format(PyExc_TypeError,
+                         "Slot.%U must be a __slots__ member", names[f]);
+            return -1;
+        }
+    }
+    g_one = PyLong_FromLong(1);
+    return g_one == NULL ? -1 : 0;
+}
+
+/* The five protocol states, by identity with the slot module's
+ * constants; -1 for anything else (the reference owns that failure). */
+enum { ST_CLOSED, ST_OPENING, ST_OPENED, ST_FLOWING, ST_CLOSING };
+
+#define ST_LIVE(st) ((st) == ST_OPENING || (st) == ST_OPENED \
+                     || (st) == ST_FLOWING)
+
+static int
+slot_state_id(PyObject *state)
+{
+    if (state == g_state_closed)
+        return ST_CLOSED;
+    if (state == g_state_opening)
+        return ST_OPENING;
+    if (state == g_state_opened)
+        return ST_OPENED;
+    if (state == g_state_flowing)
+        return ST_FLOWING;
+    if (state == g_state_closing)
+        return ST_CLOSING;
+    return -1;
+}
+
+/* slot.<f>, borrowed; NULL when unset (the attribute would raise) */
+static inline PyObject *
+slot_get(PyObject *slot, int f)
+{
+    return *(PyObject **)((char *)slot + g_slot_off[f]);
+}
+
+/* slot.<f> = v */
+static inline void
+slot_put(PyObject *slot, int f, PyObject *v)
+{
+    PyObject **addr = (PyObject **)((char *)slot + g_slot_off[f]);
+    PyObject *old = *addr;
+    Py_INCREF(v);
+    *addr = v;
+    Py_XDECREF(old);
+}
+
+/* slot.<f> += 1 */
+static int
+slot_incr(PyObject *slot, int f)
+{
+    PyObject *v = slot_get(slot, f), *nv;
+    if (v == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "slot counter unset");
+        return -1;
+    }
+    nv = PyNumber_Add(v, g_one);
+    if (nv == NULL)
+        return -1;
+    slot_put(slot, f, nv);
+    Py_DECREF(nv);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* slot FSM fast path (third perf wave)                                */
 /* ------------------------------------------------------------------ */
 /* The legal receive transitions of a reliable strict slot are executed
@@ -1298,31 +1428,18 @@ fsm_bump_gen(PyObject *owner)
 static int
 fsm_set_state(PyObject *slot, PyObject *owner, PyObject *new_state)
 {
-    if (PyObject_SetAttr(slot, S.state, new_state) < 0)
-        return -1;
+    slot_put(slot, SF_STATE, new_state);
     return fsm_bump_gen(owner);
 }
 
 /* slot.<dst> = sig.<src> */
 static int
-fsm_copy_attr(PyObject *slot, PyObject *dst, PyObject *sig, PyObject *src)
+fsm_copy_attr(PyObject *slot, int dst, PyObject *sig, PyObject *src)
 {
     PyObject *v = PyObject_GetAttr(sig, src);
-    int st;
     if (v == NULL)
         return -1;
-    st = PyObject_SetAttr(slot, dst, v);
-    Py_DECREF(v);
-    return st;
-}
-
-static int
-fsm_attr_is_none(PyObject *obj, PyObject *name, int *is_none)
-{
-    PyObject *v = PyObject_GetAttr(obj, name);
-    if (v == NULL)
-        return -1;
-    *is_none = (v == Py_None);
+    slot_put(slot, dst, v);
     Py_DECREF(v);
     return 0;
 }
@@ -1331,24 +1448,11 @@ fsm_attr_is_none(PyObject *obj, PyObject *name, int *is_none)
  * close path cancels them; the C reset only clears descriptor state,
  * so an armed timer routes the signal back to the Python handler. */
 static int
-fsm_timers_clear(PyObject *slot, int *clear)
+fsm_timers_clear(PyObject *slot)
 {
-    int none;
-    *clear = 0;
-    if (fsm_attr_is_none(slot, S._retx_timer, &none) < 0)
-        return -1;
-    if (!none)
-        return 0;
-    if (fsm_attr_is_none(slot, S._stale_timer, &none) < 0)
-        return -1;
-    if (!none)
-        return 0;
-    if (fsm_attr_is_none(slot, S._busy_timer, &none) < 0)
-        return -1;
-    if (!none)
-        return 0;
-    *clear = 1;
-    return 0;
+    return slot_get(slot, SF_RETX_TIMER) == Py_None
+        && slot_get(slot, SF_STALE_TIMER) == Py_None
+        && slot_get(slot, SF_BUSY_TIMER) == Py_None;
 }
 
 /* The C twin of Slot._reset_to_closed for a reliable strict slot whose
@@ -1361,100 +1465,71 @@ fsm_reset_to_closed(PyObject *slot, PyObject *owner)
 {
     if (fsm_set_state(slot, owner, g_state_closed) < 0)
         return -1;
-    if (PyObject_SetAttr(slot, S.medium, Py_None) < 0 ||
-        PyObject_SetAttr(slot, S.remote_descriptor, Py_None) < 0 ||
-        PyObject_SetAttr(slot, S.local_descriptor, Py_None) < 0 ||
-        PyObject_SetAttr(slot, S.selector_received, Py_None) < 0 ||
-        PyObject_SetAttr(slot, S.selector_sent, Py_None) < 0)
-        return -1;
+    slot_put(slot, SF_MEDIUM, Py_None);
+    slot_put(slot, SF_RD, Py_None);
+    slot_put(slot, SF_LD, Py_None);
+    slot_put(slot, SF_SEL_RECV, Py_None);
+    slot_put(slot, SF_SEL_SENT, Py_None);
     return 0;
 }
 
-/* Try to run one receive entirely in C.  Caller guarantees the loop is
- * untraced and arena poisoning is off.  *handled is set when the
- * (state, signal, mode) combination was executed here; every other
- * combination leaves *handled == 0 and falls through to the reference
- * handlers.  Returns the accepted verdict (0/1) or -1 + PyErr. */
+/* Try to run one receive entirely in C.  Caller guarantees an exact
+ * Slot, an untraced loop and arena poisoning off.  *handled is set
+ * when the (state, signal, mode) combination was executed here; every
+ * other combination leaves *handled == 0 and falls through to the
+ * reference handlers.  Returns the accepted verdict (0/1) or -1 +
+ * PyErr. */
 static int
 slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
               PyObject *owner, int *handled)
 {
     PyObject *tp = (PyObject *)Py_TYPE(sig);
-    int st_id, flag, none;
+    int st_id = slot_state_id(state);
 
     *handled = 0;
-    if (state == g_state_closed)
-        st_id = 0;
-    else if (state == g_state_opening)
-        st_id = 1;
-    else if (state == g_state_opened)
-        st_id = 2;
-    else if (state == g_state_flowing)
-        st_id = 3;
-    else if (state == g_state_closing)
-        st_id = 4;
-    else
+    if (st_id < 0)
         return 0;
 
     /* Gate: reliable (no retransmission policy, no pending ack),
      * strict, not failed -- the provably timer-free configuration. */
-    if (fsm_attr_is_none(slot, S.retransmit, &none) < 0)
-        return -1;
-    if (!none)
-        return 0;
-    if (fsm_attr_is_none(slot, S._retx_kind, &none) < 0)
-        return -1;
-    if (!none)
-        return 0;
-    flag = get_attr_bool(slot, S.strict);
-    if (flag < 0)
-        return -1;
-    if (!flag)
-        return 0;
-    flag = get_attr_bool(slot, S.failed);
-    if (flag < 0)
-        return -1;
-    if (flag)
+    if (slot_get(slot, SF_RETRANSMIT) != Py_None
+        || slot_get(slot, SF_RETX_KIND) != Py_None
+        || slot_get(slot, SF_STRICT) != Py_True
+        || slot_get(slot, SF_FAILED) != Py_False)
         return 0;
 
     switch (st_id) {
-    case 0:  /* closed */
+    case ST_CLOSED:
         if (tp == g_sig_open) {
             *handled = 1;
-            if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
                 return -1;
-            if (fsm_copy_attr(slot, S.medium, sig, S.medium) < 0)
+            if (fsm_copy_attr(slot, SF_MEDIUM, sig, S.medium) < 0)
                 return -1;
-            if (fsm_copy_attr(slot, S.remote_descriptor, sig,
-                              S.descriptor) < 0)
+            if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
                 return -1;
             if (fsm_set_state(slot, owner, g_state_opened) < 0)
                 return -1;
             return 1;
         }
         return 0;
-    case 1:  /* opening */
+    case ST_OPENING:
         if (tp == g_sig_open) {
             /* open/open race (Sec. VI-B): the initiator wins */
-            PyObject *end = PyObject_GetAttr(slot, S._end);
+            PyObject *end = slot_get(slot, SF_END);
             long long side;
             if (end == NULL)
+                return 0;
+            if (get_attr_ll(end, S.side, &side) < 0)
                 return -1;
-            if (get_attr_ll(end, S.side, &side) < 0) {
-                Py_DECREF(end);
-                return -1;
-            }
-            Py_DECREF(end);
             *handled = 1;
-            if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
                 return -1;
             if (side == 0)
-                return attr_add_ll(slot, S.race_drops, 1, NULL) < 0
-                    ? -1 : 0;
-            if (fsm_copy_attr(slot, S.medium, sig, S.medium) < 0)
+                return slot_incr(slot, SF_RACE_DROPS) < 0 ? -1 : 0;
+            if (fsm_copy_attr(slot, SF_MEDIUM, sig, S.medium) < 0)
                 return -1;
-            if (fsm_copy_attr(slot, S.remote_descriptor, sig,
-                              S.descriptor) < 0)
+            if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
                 return -1;
             if (fsm_set_state(slot, owner, g_state_opened) < 0)
                 return -1;
@@ -1462,10 +1537,9 @@ slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
         }
         if (tp == g_sig_oack) {
             *handled = 1;
-            if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
                 return -1;
-            if (fsm_copy_attr(slot, S.remote_descriptor, sig,
-                              S.descriptor) < 0)
+            if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
                 return -1;
             if (fsm_set_state(slot, owner, g_state_flowing) < 0)
                 return -1;
@@ -1474,55 +1548,49 @@ slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
         if (tp == g_sig_close)
             goto ack_close;
         return 0;  /* Busy (refusal machinery) and illegal: reference */
-    case 2:  /* opened */
+    case ST_OPENED:
         if (tp == g_sig_close)
             goto ack_close;
         return 0;
-    case 3:  /* flowing */
+    case ST_FLOWING:
         if (tp == g_sig_describe) {
             *handled = 1;
-            if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
                 return -1;
-            if (fsm_copy_attr(slot, S.remote_descriptor, sig,
-                              S.descriptor) < 0)
+            if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
                 return -1;
             return 1;
         }
         if (tp == g_sig_select) {
             /* with no staleness recovery armed the reference handler
              * only records the selector */
-            if (fsm_attr_is_none(slot, S._stale_timer, &none) < 0)
-                return -1;
-            if (!none)
+            if (slot_get(slot, SF_STALE_TIMER) != Py_None)
                 return 0;
             *handled = 1;
-            if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
                 return -1;
-            if (fsm_copy_attr(slot, S.selector_received, sig,
-                              S.selector) < 0)
+            if (fsm_copy_attr(slot, SF_SEL_RECV, sig, S.selector) < 0)
                 return -1;
             return 1;
         }
         if (tp == g_sig_close)
             goto ack_close;
         return 0;
-    case 4:  /* closing */
+    case ST_CLOSING:
         if (tp == g_sig_close) {
             /* crossing closes: acknowledge theirs, keep waiting */
             *handled = 1;
-            if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
                 return -1;
             if (fsm_tx(slot, g_closeack) < 0)
                 return -1;
             return 1;
         }
         if (tp == g_sig_closeack) {
-            if (fsm_timers_clear(slot, &flag) < 0)
-                return -1;
-            if (!flag)
+            if (!fsm_timers_clear(slot))
                 return 0;
             *handled = 1;
-            if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
                 return -1;
             if (fsm_reset_to_closed(slot, owner) < 0)
                 return -1;
@@ -1532,9 +1600,9 @@ slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
             || tp == g_sig_select || tp == g_sig_busy) {
             /* sent before the peer saw our close; drain */
             *handled = 1;
-            if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
                 return -1;
-            return attr_add_ll(slot, S.stale_drops, 1, NULL) < 0 ? -1 : 0;
+            return slot_incr(slot, SF_STALE_DROPS) < 0 ? -1 : 0;
         }
         return 0;
     }
@@ -1542,12 +1610,10 @@ slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
 
 ack_close:
     /* _acknowledge_close: answer with a closeack, reset to closed */
-    if (fsm_timers_clear(slot, &flag) < 0)
-        return -1;
-    if (!flag)
+    if (!fsm_timers_clear(slot))
         return 0;
     *handled = 1;
-    if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+    if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
         return -1;
     if (fsm_tx(slot, g_closeack) < 0)
         return -1;
@@ -1653,6 +1719,509 @@ retx_fail:
     return -1;
 }
 
+/* ------------------------------------------------------------------ */
+/* FlowLink kernel                                                     */
+/* ------------------------------------------------------------------ */
+/* C twin of FlowLink.goal_receive (core/flowlink.py) together with the
+ * _work / _open_through / _forward_select steps it calls and the
+ * Slot.send_* calls those issue, for a flowlink of exact type FlowLink
+ * whose two slots are reliable, strict, not failed and timer-free.
+ *
+ * Check first, then commit: the kernel runs the reference logic twice
+ * over a shadow of the Python-visible state (slot protocol states,
+ * media, the _utd/_reopen flags).  The check pass mutates nothing; it
+ * proves every send legal in its slot's state at that point and
+ * reports any case where the reference would raise or call back into
+ * Python (medium mismatch, undescribed open-through minting a noMedia
+ * placeholder, a selector that fails validate_against, ...).  Only
+ * then does the commit pass replay the same decisions, performing the
+ * slot field updates, goal_gen bumps, dict writes, counter bumps and
+ * transmits in the reference order.  A signal the check pass rejects
+ * goes to the Python goal_receive with nothing touched. */
+
+typedef struct {
+    PyObject *slot;     /* borrowed: each pointer below is owned by */
+    PyObject *owner;    /* FlCtx.refs for the duration of the call  */
+    PyObject *rd;       /* remote_descriptor (Py_None if undescribed) */
+    PyObject *medium;   /* Py_None until opened */
+    int state, utd, reopen;
+} FlSide;
+
+typedef struct {
+    PyObject *fl, *utd, *reopen;    /* utd/reopen: borrowed from refs */
+    PyObject *refs[9];      /* fl.slots, _utd, _reopen, 3 per side */
+    int nrefs;
+    FlSide side[2];
+    int commit;
+    int fresh;          /* select freshness, decided by the check pass */
+} FlCtx;
+
+/* Take a new reference into the context; returns it (borrowed). */
+static PyObject *
+fl_keep(FlCtx *c, PyObject *obj)
+{
+    if (obj != NULL)
+        c->refs[c->nrefs++] = obj;
+    return obj;
+}
+
+static void
+fl_release(FlCtx *c)
+{
+    while (c->nrefs > 0)
+        Py_DECREF(c->refs[--c->nrefs]);
+}
+
+/* A check-pass verdict reached in the commit pass means the two passes
+ * diverged -- a kernel bug, never a fallback (state is half-applied). */
+static int
+fl_reject(FlCtx *c)
+{
+    if (!c->commit)
+        return 0;
+    PyErr_SetString(PyExc_SystemError,
+                    "flowlink kernel: commit diverged from its check");
+    return -1;
+}
+
+/* Read one _utd/_reopen flag; only exact bools qualify. */
+static int
+fl_flag(PyObject *dict, PyObject *slot, int *out)
+{
+    PyObject *v = PyDict_GetItemWithError(dict, slot);   /* borrowed */
+    if (v == Py_True)
+        *out = 1;
+    else if (v == Py_False)
+        *out = 0;
+    else
+        return PyErr_Occurred() ? -1 : 0;
+    return 1;
+}
+
+/* Snapshot one slot and apply the per-slot gates.  1 ok, 0 fallback. */
+static int
+fl_side(FlCtx *c, FlSide *s, PyObject *slot, PyObject *loop)
+{
+    PyObject *owner, *rd, *medium;
+
+    if ((PyObject *)Py_TYPE(slot) != g_slot_type)
+        return 0;
+    s->slot = slot;
+    /* reliable, strict, not failed, timer-free, on the untraced loop */
+    if (slot_get(slot, SF_LOOP) != loop
+        || slot_get(slot, SF_RETRANSMIT) != Py_None
+        || slot_get(slot, SF_STRICT) != Py_True
+        || slot_get(slot, SF_FAILED) != Py_False
+        || !fsm_timers_clear(slot))
+        return 0;
+    s->state = slot_get(slot, SF_STATE) == NULL ? -1
+        : slot_state_id(slot_get(slot, SF_STATE));
+    owner = slot_get(slot, SF_OWNER);
+    rd = slot_get(slot, SF_RD);
+    medium = slot_get(slot, SF_MEDIUM);
+    if (s->state < 0 || owner == NULL || rd == NULL || medium == NULL
+        || slot_get(slot, SF_TX) == NULL)
+        return 0;
+    s->owner = fl_keep(c, Py_NewRef(owner));
+    s->rd = fl_keep(c, Py_NewRef(rd));
+    s->medium = fl_keep(c, Py_NewRef(medium));
+    return 1;
+}
+
+/* Snapshot the flowlink and both slots; *idx is the receiving slot's
+ * position in fl.slots.  1 ok, 0 fallback, -1 error. */
+static int
+fl_snapshot(FlCtx *c, PyObject *fl, PyObject *slot, PyObject *loop,
+            int *idx)
+{
+    PyObject *slots;
+    int flag, st, i;
+
+    c->fl = fl;
+    flag = get_attr_bool(fl, S.attached);
+    if (flag <= 0)
+        return flag;
+    slots = fl_keep(c, PyObject_GetAttr(fl, S.slots));
+    if (slots == NULL)
+        return -1;
+    if (!PyTuple_CheckExact(slots) || PyTuple_GET_SIZE(slots) != 2
+        || PyTuple_GET_ITEM(slots, 0) == PyTuple_GET_ITEM(slots, 1))
+        return 0;
+    if (slot == PyTuple_GET_ITEM(slots, 0))
+        *idx = 0;
+    else if (slot == PyTuple_GET_ITEM(slots, 1))
+        *idx = 1;
+    else
+        return 0;           /* other() raises ValueError */
+    if ((st = fl_side(c, &c->side[0], PyTuple_GET_ITEM(slots, 0), loop))
+            <= 0
+        || (st = fl_side(c, &c->side[1], PyTuple_GET_ITEM(slots, 1), loop))
+            <= 0)
+        return st;
+    if ((c->utd = fl_keep(c, PyObject_GetAttr(fl, S._utd))) == NULL
+        || (c->reopen = fl_keep(c, PyObject_GetAttr(fl, S._reopen)))
+            == NULL)
+        return -1;
+    if (!PyDict_CheckExact(c->utd) || !PyDict_CheckExact(c->reopen))
+        return 0;
+    for (i = 0; i < 2; i++) {
+        FlSide *s = &c->side[i];
+        if ((st = fl_flag(c->utd, s->slot, &s->utd)) <= 0
+            || (st = fl_flag(c->reopen, s->slot, &s->reopen)) <= 0)
+            return st;
+    }
+    return 1;
+}
+
+/* fl._utd[slot] = v / fl._reopen[slot] = v (shadow always, dict on
+ * commit) */
+static int
+fl_set_flag(FlCtx *c, PyObject *dict, int i, int *field, int v)
+{
+    *field = v;
+    if (!c->commit)
+        return 0;
+    return PyDict_SetItem(dict, c->side[i].slot, v ? Py_True : Py_False);
+}
+
+static int
+fl_count(FlCtx *c, PyObject *name)
+{
+    return c->commit ? attr_add_ll(c->fl, name, 1, NULL) : 0;
+}
+
+/* Slot._set_state, untraced: the state plus the owner's goal_gen */
+static int
+fl_set_state(FlSide *s, PyObject *state)
+{
+    slot_put(s->slot, SF_STATE, state);
+    return fsm_bump_gen(s->owner);
+}
+
+/* Build sig_type(a[, b]) through its class and transmit it. */
+static int
+fl_tx_new(PyObject *slot, PyObject *sig_type, PyObject *a, PyObject *b)
+{
+    PyObject *args[2] = {a, b};
+    PyObject *sig = PyObject_Vectorcall(sig_type, args, b == NULL ? 1 : 2,
+                                        NULL);
+    int st;
+    if (sig == NULL)
+        return -1;
+    st = fsm_tx(slot, sig);
+    Py_DECREF(sig);
+    return st;
+}
+
+/* Slot.send_open for a reliable slot with no busy timer: 1 sent,
+ * 0 illegal (check pass), -1 error. */
+static int
+fl_send_open(FlCtx *c, int i, PyObject *medium, PyObject *desc)
+{
+    FlSide *s = &c->side[i];
+    PyObject *zero;
+    if (s->state != ST_CLOSED)
+        return fl_reject(c);
+    s->state = ST_OPENING;
+    s->medium = medium;
+    if (!c->commit)
+        return 1;
+    slot_put(s->slot, SF_MEDIUM, medium);
+    slot_put(s->slot, SF_LD, desc);
+    slot_put(s->slot, SF_FAILED, Py_False);
+    /* _cancel_busy with no timer armed, then the fresh busy budget */
+    slot_put(s->slot, SF_BUSY_MEDIUM, Py_None);
+    slot_put(s->slot, SF_BUSY_DESC, Py_None);
+    zero = PyLong_FromLong(0);
+    if (zero == NULL)
+        return -1;
+    slot_put(s->slot, SF_BUSY_ATTEMPTS, zero);
+    Py_DECREF(zero);
+    if (fl_set_state(s, g_state_opening) < 0
+        || fl_tx_new(s->slot, g_sig_open, medium, desc) < 0)
+        return -1;
+    return 1;
+}
+
+static int
+fl_send_oack(FlCtx *c, int i, PyObject *desc)
+{
+    FlSide *s = &c->side[i];
+    if (s->state != ST_OPENED)
+        return fl_reject(c);
+    s->state = ST_FLOWING;
+    if (!c->commit)
+        return 1;
+    slot_put(s->slot, SF_LD, desc);
+    if (fl_set_state(s, g_state_flowing) < 0
+        || fl_tx_new(s->slot, g_sig_oack, desc, NULL) < 0)
+        return -1;
+    return 1;
+}
+
+static int
+fl_send_close(FlCtx *c, int i)
+{
+    FlSide *s = &c->side[i];
+    if (!ST_LIVE(s->state))
+        return fl_reject(c);
+    s->state = ST_CLOSING;
+    if (!c->commit)
+        return 1;
+    if (fl_set_state(s, g_state_closing) < 0 || fsm_tx(s->slot, g_close) < 0)
+        return -1;
+    return 1;
+}
+
+static int
+fl_send_describe(FlCtx *c, int i, PyObject *desc)
+{
+    FlSide *s = &c->side[i];
+    if (s->state != ST_FLOWING)
+        return fl_reject(c);
+    if (!c->commit)
+        return 1;
+    slot_put(s->slot, SF_LD, desc);
+    if (fl_tx_new(s->slot, g_sig_describe, desc, NULL) < 0)
+        return -1;
+    return 1;
+}
+
+/* Selector.validate_against(desc), for a selector already known to
+ * answer desc: 1 passes, 0 would raise ProtocolError, -1 error. */
+static int
+fl_select_valid(PyObject *selector, PyObject *desc)
+{
+    PyObject *codec, *v;
+    int real, no_media, st;
+
+    codec = PyObject_GetAttr(selector, S.codec);
+    if (codec == NULL)
+        return -1;
+    v = PyObject_GetAttr(codec, S.is_real);
+    if (v == NULL) {
+        Py_DECREF(codec);
+        return -1;
+    }
+    real = (v == Py_True) ? 1 : (v == Py_False) ? 0 : -2;
+    Py_DECREF(v);
+    st = 0;
+    if (real == 1) {
+        v = PyObject_GetAttr(desc, S._no_media);
+        no_media = (v == NULL) ? -1 : PyObject_IsTrue(v);
+        Py_XDECREF(v);
+        if (no_media < 0)
+            st = -1;
+        else if (!no_media) {
+            v = PyObject_GetAttr(desc, S.codecs);
+            if (v == NULL)
+                st = -1;
+            else {
+                st = PySequence_Contains(v, codec);
+                Py_DECREF(v);
+            }
+        }
+    }
+    else if (real == 0)
+        st = 1;
+    Py_DECREF(codec);
+    return st;
+}
+
+static int
+fl_send_select(FlCtx *c, int i, PyObject *selector)
+{
+    FlSide *s = &c->side[i];
+    if (s->state != ST_FLOWING || s->rd == Py_None)
+        return fl_reject(c);
+    if (!c->commit)
+        return fl_select_valid(selector, s->rd);
+    slot_put(s->slot, SF_SEL_SENT, selector);
+    if (fl_tx_new(s->slot, g_sig_select, selector, NULL) < 0)
+        return -1;
+    return 1;
+}
+
+/* FlowLink._open_through(slot i) when the peer is described. */
+static int
+fl_open_through(FlCtx *c, int i)
+{
+    FlSide *peer = &c->side[1 - i];
+    int st;
+    if (peer->rd == Py_None || peer->medium == Py_None)
+        return fl_reject(c);   /* noMedia placeholder / assert */
+    if (fl_set_flag(c, c->utd, i, &c->side[i].utd, 1) < 0)
+        return -1;
+    st = fl_send_open(c, i, peer->medium, peer->rd);
+    if (st <= 0)
+        return st;
+    return fl_count(c, S.opens_sent) < 0 ? -1 : 1;
+}
+
+/* FlowLink._work */
+static int
+fl_work(FlCtx *c)
+{
+    int i, st;
+    for (i = 0; i < 2; i++) {
+        FlSide *s = &c->side[i], *peer = &c->side[1 - i];
+        if (s->reopen && s->state == ST_CLOSED) {
+            if (fl_set_flag(c, c->reopen, i, &s->reopen, 0) < 0)
+                return -1;
+            if (ST_LIVE(peer->state)
+                && (st = fl_open_through(c, i)) <= 0)
+                return st;
+        }
+        if (s->state == ST_OPENED && peer->rd != Py_None) {
+            if ((st = fl_send_oack(c, i, peer->rd)) <= 0)
+                return st;
+            if (fl_set_flag(c, c->utd, i, &s->utd, 1) < 0)
+                return -1;
+        }
+        else if (s->state == ST_FLOWING && !s->utd
+                 && peer->rd != Py_None) {
+            if ((st = fl_send_describe(c, i, peer->rd)) <= 0)
+                return st;
+            if (fl_count(c, S.describes_sent) < 0
+                || fl_set_flag(c, c->utd, i, &s->utd, 1) < 0)
+                return -1;
+        }
+    }
+    return 1;
+}
+
+/* Does the selector answer desc (``answers is desc.id or ==``)? */
+static int
+fl_answers(PyObject *selector, PyObject *desc)
+{
+    PyObject *answers, *did;
+    int st;
+    answers = PyObject_GetAttr(selector, S.answers);
+    if (answers == NULL)
+        return -1;
+    did = PyObject_GetAttr(desc, S.id);
+    if (did == NULL) {
+        Py_DECREF(answers);
+        return -1;
+    }
+    st = (answers == did) ? 1
+        : PyObject_RichCompareBool(answers, did, Py_EQ);
+    Py_DECREF(answers);
+    Py_DECREF(did);
+    return st;
+}
+
+/* One pass of FlowLink.goal_receive over the shadow.  1 done, 0 the
+ * reference must run instead, -1 error. */
+static int
+fl_receive(FlCtx *c, int i, PyObject *sig)
+{
+    PyObject *tp = (PyObject *)Py_TYPE(sig);
+    FlSide *s = &c->side[i], *peer = &c->side[1 - i];
+    int j = 1 - i, st;
+
+    if (tp == g_sig_open) {
+        if (!c->commit && s->medium != Py_None && peer->medium != Py_None) {
+            st = PyObject_RichCompareBool(s->medium, peer->medium, Py_NE);
+            if (st != 0)
+                return st < 0 ? -1 : 0;   /* PreconditionError */
+        }
+        if (fl_set_flag(c, c->utd, j, &peer->utd, 0) < 0)
+            return -1;
+        if (peer->state == ST_CLOSED) {
+            if ((st = fl_open_through(c, j)) <= 0)
+                return st;
+        }
+        else if (peer->state == ST_CLOSING) {
+            if (fl_set_flag(c, c->reopen, j, &peer->reopen, 1) < 0)
+                return -1;
+        }
+        return fl_work(c);
+    }
+    if (tp == g_sig_oack || tp == g_sig_describe) {
+        if (fl_set_flag(c, c->utd, j, &peer->utd, 0) < 0)
+            return -1;
+        return fl_work(c);
+    }
+    if (tp == g_sig_select) {
+        PyObject *selector = PyObject_GetAttr(sig, S.selector);
+        if (selector == NULL)
+            return -1;
+        if (!c->commit) {
+            c->fresh = 0;
+            if (peer->state == ST_FLOWING && peer->rd != Py_None) {
+                c->fresh = fl_answers(selector, peer->rd);
+                if (c->fresh < 0) {
+                    Py_DECREF(selector);
+                    return -1;
+                }
+            }
+        }
+        if (c->fresh) {
+            st = fl_send_select(c, j, selector);
+            if (st > 0 && fl_count(c, S.forwarded_selects) < 0)
+                st = -1;
+        }
+        else
+            st = fl_count(c, S.discarded_selects) < 0 ? -1 : 1;
+        Py_DECREF(selector);
+        return st;
+    }
+    if (tp == g_sig_close) {
+        if (fl_set_flag(c, c->utd, i, &s->utd, 0) < 0
+            || fl_set_flag(c, c->utd, j, &peer->utd, 0) < 0)
+            return -1;
+        if (s->state == ST_CLOSED && ST_LIVE(peer->state))
+            return fl_send_close(c, j);
+        return 1;
+    }
+    if (tp == g_sig_closeack)
+        return fl_work(c);
+    return 0;
+}
+
+/* Run goal_receive for an exact FlowLink in C when every gate holds:
+ * 1 handled, 0 call the Python goal_receive, -1 error.  The caller
+ * (the untraced Process path) has already checked loop.trace. */
+static int
+flowlink_receive(ProcessObj *p, PyObject *fl, PyObject *slot,
+                 PyObject *sig)
+{
+    FlCtx c;
+    FlSide initial[2];
+    int idx = 0, st;
+
+    if (g_arena_poison)
+        return 0;
+    memset(&c, 0, sizeof(c));
+    st = fl_snapshot(&c, fl, slot, p->loop, &idx);
+    if (st > 0) {
+        memcpy(initial, c.side, sizeof(initial));
+        st = fl_receive(&c, idx, sig);
+        if (st < 0 && !PyErr_ExceptionMatches(PyExc_Exception)) {
+            fl_release(&c);
+            return -1;
+        }
+        if (st < 0) {
+            /* an exception in the check pass: nothing is applied yet, so
+             * the reference re-raises it in context */
+            PyErr_Clear();
+            st = 0;
+        }
+        if (st > 0) {
+            memcpy(c.side, initial, sizeof(initial));
+            c.commit = 1;
+            st = fl_receive(&c, idx, sig);
+        }
+    }
+    else if (st < 0 && PyErr_ExceptionMatches(PyExc_Exception)) {
+        PyErr_Clear();
+        st = 0;
+    }
+    fl_release(&c);
+    return st;
+}
+
 static int
 call_py_process(ProcessObj *p, PyObject *msg)
 {
@@ -1665,11 +2234,11 @@ call_py_process(ProcessObj *p, PyObject *msg)
 
 /* The accepted-signal upcall.  When the owner's handler is the
  * reference Box.on_tunnel_signal, admission control is off, and a goal
- * controls the slot, the dispatch runs here: goal.goal_receive plus
- * the generation-gated program poll (Box._poll).  Every other
- * combination -- overridden handlers, admission control installed,
- * unmanaged slots -- calls the bound handler, which owns the
- * bookkeeping. */
+ * controls the slot, the dispatch runs here: goal.goal_receive (in C
+ * for a flowlink the kernel above accepts) plus the generation-gated
+ * program poll (Box._poll).  Every other combination -- overridden
+ * handlers, admission control installed, unmanaged slots -- calls the
+ * bound handler, which owns the bookkeeping. */
 static int
 upcall_accepted(ProcessObj *p, PyObject *slot, PyObject *sig)
 {
@@ -1696,17 +2265,27 @@ upcall_accepted(ProcessObj *p, PyObject *slot, PyObject *sig)
                 /* unmanaged slot: the reference method records it */
             }
             else {
-                PyObject *gr, *cb;
+                PyObject *cb;
+                int fl_done = 0;
                 Py_INCREF(goal);
-                gr = PyObject_GetAttr(goal, S.goal_receive);
+                if (Py_TYPE(goal) == (PyTypeObject *)g_flowlink_type)
+                    fl_done = flowlink_receive(p, goal, slot, sig);
+                if (fl_done == 0) {
+                    PyObject *gr = PyObject_GetAttr(goal, S.goal_receive);
+                    if (gr == NULL)
+                        fl_done = -1;
+                    else {
+                        res = PyObject_CallFunctionObjArgs(gr, slot, sig,
+                                                           NULL);
+                        Py_DECREF(gr);
+                        if (res == NULL)
+                            fl_done = -1;
+                        Py_XDECREF(res);
+                    }
+                }
                 Py_DECREF(goal);
-                if (gr == NULL)
+                if (fl_done < 0)
                     goto fail;
-                res = PyObject_CallFunctionObjArgs(gr, slot, sig, NULL);
-                Py_DECREF(gr);
-                if (res == NULL)
-                    goto fail;
-                Py_DECREF(res);
                 /* Box._poll: re-evaluate program guards only when a
                  * guard input moved since the last full pass */
                 cb = PyObject_GetAttr(p->owner, S.after_stimulus);
@@ -2285,7 +2864,9 @@ slot_transmit_impl(SlotTransmitObj *st, PyObject *sig)
     Py_ssize_t pn;
     int alive, hooked;
 
-    if (attr_add_ll(st->slot, S.signals_sent, 1, NULL) < 0)
+    if (((PyObject *)Py_TYPE(st->slot) == g_slot_type
+         ? slot_incr(st->slot, SF_SIGNALS_SENT)
+         : attr_add_ll(st->slot, S.signals_sent, 1, NULL)) < 0)
         return -1;
     alive = get_attr_bool(st->end, S.alive);
     if (alive < 0)
@@ -2344,16 +2925,19 @@ slot_transmit_impl(SlotTransmitObj *st, PyObject *sig)
     return 0;
 }
 
-/* slot._tx(sig) for the FSM fast path: fuse into the SlotTransmit
- * kernel when the slot carries one (the compiled-backend default),
- * fall back to the generic callable otherwise. */
+/* slot._tx(sig) for the FSM and flowlink kernels (exact Slot only):
+ * fuse into the SlotTransmit kernel when the slot carries one (the
+ * compiled-backend default), call the generic callable otherwise. */
 static int
 fsm_tx(PyObject *slot, PyObject *sig)
 {
-    PyObject *tx = PyObject_GetAttr(slot, S._tx);
+    PyObject *tx = slot_get(slot, SF_TX);
     int st;
-    if (tx == NULL)
+    if (tx == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "Slot._tx is unset");
         return -1;
+    }
+    Py_INCREF(tx);
     if (Py_TYPE(tx) == &SlotTransmitType)
         st = slot_transmit_impl((SlotTransmitObj *)tx, sig);
     else {
@@ -2896,6 +3480,23 @@ intern_all(void)
     INTERN(admission, "admission");
     INTERN(goal_gen, "goal_gen");
     INTERN(_poll_gen, "_poll_gen");
+    INTERN(_utd, "_utd");
+    INTERN(_reopen, "_reopen");
+    INTERN(attached, "attached");
+    INTERN(_owner, "_owner");
+    INTERN(answers, "answers");
+    INTERN(id, "id");
+    INTERN(codec, "codec");
+    INTERN(codecs, "codecs");
+    INTERN(is_real, "is_real");
+    INTERN(_no_media, "_no_media");
+    INTERN(_busy_medium, "_busy_medium");
+    INTERN(_busy_descriptor, "_busy_descriptor");
+    INTERN(_busy_attempts, "_busy_attempts");
+    INTERN(opens_sent, "opens_sent");
+    INTERN(describes_sent, "describes_sent");
+    INTERN(forwarded_selects, "forwarded_selects");
+    INTERN(discarded_selects, "discarded_selects");
 #undef INTERN
     return 0;
 }

@@ -34,8 +34,8 @@ def test_arena_caps_and_abi_match():
     assert c.constants["ENV_POOL_MAX"] == py.constants["ENV_POOL_MAX"]
     assert (c.constants["DELIVER_BATCH_MAX"]
             == py.constants["DELIVER_BATCH_MAX"])
-    assert c.constants["CCORE_ABI_VERSION"] == 2
-    assert py.abi_expected == frozenset({2})
+    assert c.constants["CCORE_ABI_VERSION"] == 3
+    assert py.abi_expected == frozenset({3})
 
 
 def test_interned_names_are_spelled_in_python():

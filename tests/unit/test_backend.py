@@ -459,3 +459,151 @@ def test_faulted_survivors_reach_the_c_transmit_kernel():
                                "compiled"))
     assert jitter["scheduled"] == jitter["stats"]["forwarded"] > 0
     assert jitter["reached"]["kernel"] == jitter["stats"]["exempted"]
+
+
+# ---------------------------------------------------------------------------
+# flowlink kernel: a clean relay box never enters Python; every other
+# configuration runs the reference goal_receive as often as the python
+# backend does, with byte-identical observables
+# ---------------------------------------------------------------------------
+
+#: Relay device-box-device with a counting wrapper over
+#: ``FlowLink.goal_receive`` and the device upcall, plus a profile hook
+#: counting every Python frame entered in ``repro/core`` (the box, its
+#: goals and programs) during the call loop.  The kernel selects
+#: flowlinks by exact type, so the wrapper does not turn it off.
+_FLOWLINK_CODE = """
+import hashlib, json, os, sys
+import repro.core.flowlink as flmod
+from repro.media.device import UserDevice
+
+calls = {"goal_receive": 0, "device": 0, "core_frames": 0}
+_goal_receive = flmod.FlowLink.goal_receive
+def counting_goal_receive(self, slot, sig):
+    calls["goal_receive"] += 1
+    return _goal_receive(self, slot, sig)
+flmod.FlowLink.goal_receive = counting_goal_receive
+_device = UserDevice.on_tunnel_signal
+def counting_device(self, slot, sig):
+    calls["device"] += 1
+    return _device(self, slot, sig)
+UserDevice.on_tunnel_signal = counting_device
+
+from repro.core.flowlink import FlowLink
+from repro.network.faults import plan_by_name
+from repro.network.network import Network
+from repro.obs.export import dumps_chrome
+from repro.obs.tracer import Tracer
+from repro.protocol.codecs import AUDIO
+from repro.protocol.slot import RetransmitPolicy
+
+class SubFlowLink(FlowLink):
+    pass
+
+config = %r
+kwargs = dict(seed=5)
+tracer = None
+if config == "traced":
+    tracer = Tracer()
+    kwargs["trace"] = tracer
+elif config == "robust":
+    kwargs.update(retransmit=RetransmitPolicy(),
+                  faults=plan_by_name("drop10+dup10"))
+net = Network(**kwargs)
+a = net.device("A")
+b = net.device("B", auto_accept=True)
+box = net.box("srv")
+ch_a = net.channel(a, box, strict=config != "lenient")
+ch_b = net.channel(box, b)
+goal = box.set_goal(SubFlowLink() if config == "subclass" else FlowLink(),
+                    ch_a.end_for(box).slot(), ch_b.end_for(box).slot())
+slot = ch_a.end_for(a).slot()
+
+core_dir = os.path.dirname(flmod.__file__) + os.sep
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(core_dir):
+        calls["core_frames"] += 1
+CALLS = 40
+net.settle()   # channel setup: the meta-signals reach Box.on_meta
+sys.setprofile(profile)
+for _ in range(CALLS):
+    a.open(slot, AUDIO)
+    net.settle()
+    a.close(slot)
+    net.settle()
+sys.setprofile(None)
+
+out = dict(calls, calls_made=CALLS, executed=net.loop.executed,
+           now=net.loop.now,
+           slots=[(s.state, s.signals_sent, s.signals_received,
+                   s.race_drops, s.stale_drops, s.invalid_drops,
+                   s.duplicate_drops, s.retransmits, s.failures)
+                  for ch in net.channels for e in ch.ends
+                  for s in e.slots.values()],
+           flowlink=[goal.forwarded_selects, goal.discarded_selects,
+                     goal.describes_sent, goal.opens_sent,
+                     [goal._utd[s] for s in goal.slots],
+                     [goal._reopen[s] for s in goal.slots]],
+           goal_gen=box.goal_gen)
+if tracer is not None:
+    out["trace_sha"] = hashlib.sha256(
+        dumps_chrome(tracer, meta={}).encode()).hexdigest()
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+def _flowlink_run(config: str, backend: str, extra_env=None) -> dict:
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("REPRO_BACKEND", "REPRO_ARENA_POISON")}
+    env["REPRO_BACKEND"] = backend
+    env["PYTHONPATH"] = _SRC
+    if extra_env:
+        env.update(extra_env)
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(_FLOWLINK_CODE % config)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
+def test_clean_relay_box_never_enters_python():
+    """The control for the flowlink kernel: on the clean relay every
+    box signal is forwarded in C -- no Python goal_receive, no Python
+    frame in the box layer -- and the only upcalls left are the six per
+    call into the two devices."""
+    cc = _flowlink_run("clean", "compiled")
+    py = _flowlink_run("clean", "python")
+    assert cc.pop("goal_receive") == 0, cc
+    assert cc.pop("core_frames") == 0, cc
+    assert py.pop("goal_receive") == 6 * py["calls_made"]
+    assert py.pop("core_frames") > 0
+    assert cc["device"] == 6 * cc["calls_made"]
+    assert cc == py
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
+@pytest.mark.parametrize("config,extra_env", [
+    ("traced", None),
+    ("poisoned", {"REPRO_ARENA_POISON": "1"}),
+    ("robust", None),
+    ("lenient", None),
+    ("subclass", None),
+])
+def test_flowlink_fallback_configurations_run_the_reference(config,
+                                                            extra_env):
+    """Outside the kernel's gates the reference goal_receive runs for
+    every box signal: exactly as many Python calls as under the python
+    backend, and byte-identical observables."""
+    cc = _flowlink_run(config, "compiled", extra_env)
+    py = _flowlink_run(config, "python", extra_env)
+    assert cc["goal_receive"] == py["goal_receive"] > 0
+    assert cc.pop("core_frames") > 0
+    py.pop("core_frames")
+    assert cc == py, (
+        "flowlink fallback divergence on %s:\npython:   %r\ncompiled: %r"
+        % (config, py, cc))
