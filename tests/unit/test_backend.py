@@ -324,7 +324,10 @@ print(json.dumps(out, sort_keys=True))
 """
 
 
-def _fallback_run(scenario: str, backend: str, extra_env=None) -> dict:
+def _child_run(code: str, config: str, backend: str,
+               extra_env=None) -> dict:
+    """Run ``code % config`` in a child interpreter under ``backend``
+    (arena poison off unless ``extra_env`` sets it); returns its JSON."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("REPRO_BACKEND", "REPRO_ARENA_POISON")}
     env["REPRO_BACKEND"] = backend
@@ -332,8 +335,7 @@ def _fallback_run(scenario: str, backend: str, extra_env=None) -> dict:
     if extra_env:
         env.update(extra_env)
     proc = subprocess.run(
-        [sys.executable, "-c",
-         textwrap.dedent(_FALLBACK_CODE % scenario)],
+        [sys.executable, "-c", textwrap.dedent(code % config)],
         env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -345,8 +347,8 @@ def _fallback_run(scenario: str, backend: str, extra_env=None) -> dict:
 def test_clean_configuration_never_enters_python_dispatch():
     """The control: untraced, reliable, strict, unpoisoned — the C FSM
     must execute *every* receive, or the fast path quietly rotted."""
-    cc = _fallback_run("clean", "compiled")
-    py = _fallback_run("clean", "python")
+    cc = _child_run(_FALLBACK_CODE, "clean", "compiled")
+    py = _child_run(_FALLBACK_CODE, "clean", "python")
     assert cc["dispatched"] == 0, cc
     assert py["dispatched"] > 0
     for key in ("executed", "now", "received", "busy_refusals"):
@@ -367,8 +369,8 @@ def test_fallback_configurations_take_the_python_path(scenario, extra_env):
     arena-poisoned runs must route every receive through the reference
     handlers — and produce byte-identical observables to the pure
     Python backend doing the same."""
-    cc = _fallback_run(scenario, "compiled", extra_env)
-    py = _fallback_run(scenario, "python", extra_env)
+    cc = _child_run(_FALLBACK_CODE, scenario, "compiled", extra_env)
+    py = _child_run(_FALLBACK_CODE, scenario, "python", extra_env)
     # Every receive outside the clean configuration falls back, so the
     # Python dispatch table sees the same traffic under both backends.
     assert cc.pop("dispatched") == py.pop("dispatched") > 0
@@ -506,7 +508,9 @@ tracer = None
 if config == "traced":
     tracer = Tracer()
     kwargs["trace"] = tracer
-elif config == "robust":
+elif config == "lossy_c":
+    # The lossy_c perf workload: drop10+dup10 under the default
+    # retransmission policy, so robust slots.
     kwargs.update(retransmit=RetransmitPolicy(),
                   faults=plan_by_name("drop10+dup10"))
 net = Network(**kwargs)
@@ -552,20 +556,6 @@ print(json.dumps(out, sort_keys=True))
 """
 
 
-def _flowlink_run(config: str, backend: str, extra_env=None) -> dict:
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("REPRO_BACKEND", "REPRO_ARENA_POISON")}
-    env["REPRO_BACKEND"] = backend
-    env["PYTHONPATH"] = _SRC
-    if extra_env:
-        env.update(extra_env)
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(_FLOWLINK_CODE % config)],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 @pytest.mark.skipif(not compiled_available(),
                     reason="compiled backend not built "
                            "(python tools/build_backend.py)")
@@ -574,8 +564,8 @@ def test_clean_relay_box_never_enters_python():
     box signal is forwarded in C -- no Python goal_receive, no Python
     frame in the box layer -- and the only upcalls left are the six per
     call into the two devices."""
-    cc = _flowlink_run("clean", "compiled")
-    py = _flowlink_run("clean", "python")
+    cc = _child_run(_FLOWLINK_CODE, "clean", "compiled")
+    py = _child_run(_FLOWLINK_CODE, "clean", "python")
     assert cc.pop("goal_receive") == 0, cc
     assert cc.pop("core_frames") == 0, cc
     assert py.pop("goal_receive") == 6 * py["calls_made"]
@@ -590,7 +580,7 @@ def test_clean_relay_box_never_enters_python():
 @pytest.mark.parametrize("config,extra_env", [
     ("traced", None),
     ("poisoned", {"REPRO_ARENA_POISON": "1"}),
-    ("robust", None),
+    ("lossy_c", None),
     ("lenient", None),
     ("subclass", None),
 ])
@@ -599,11 +589,12 @@ def test_flowlink_fallback_configurations_run_the_reference(config,
     """Outside the kernel's gates the reference goal_receive runs for
     every box signal: exactly as many Python calls as under the python
     backend, and byte-identical observables."""
-    cc = _flowlink_run(config, "compiled", extra_env)
-    py = _flowlink_run(config, "python", extra_env)
+    cc = _child_run(_FLOWLINK_CODE, config, "compiled", extra_env)
+    py = _child_run(_FLOWLINK_CODE, config, "python", extra_env)
     assert cc["goal_receive"] == py["goal_receive"] > 0
     assert cc.pop("core_frames") > 0
     py.pop("core_frames")
     assert cc == py, (
         "flowlink fallback divergence on %s:\npython:   %r\ncompiled: %r"
         % (config, py, cc))
+
