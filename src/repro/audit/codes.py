@@ -49,7 +49,9 @@ AUDIT_DESCRIPTIONS: Dict[str, str] = {
     "RC804": "_ccore.c looks up a module attribute the Python runtime "
              "no longer defines",
     "RC805": "_ccore.c interns or fetches an attribute name that "
-             "appears nowhere in the Python reference modules",
+             "appears nowhere in the Python reference modules, pins a "
+             "Slot field that is not a __slots__ member, or calls a "
+             "Slot method the reference no longer defines",
     "RC810": "a wall-clock read (time.time/perf_counter/...) at a "
              "site that can perturb deterministic simulation",
     "RC811": "a module-level random.* call draws from the unseeded "

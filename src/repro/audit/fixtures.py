@@ -158,6 +158,31 @@ def _rc804_flowlink() -> Fixture:
         state="repro.core.flowlink.FlowLinkGoal")
 
 
+# -- robust-slot surface (slot FSM and flowlink kernels) ------------------
+
+def _rc805_slot_method() -> Fixture:
+    # The staleness cancel retargeted at the timer *field*: the name is
+    # interned and spelled in slot.py, so only the Slot-method check
+    # sees that the kernel would call a non-method.
+    return Fixture(
+        name="audit-RC805-slot-method", code="RC805",
+        run=_doctored_c(
+            "slot_call(slot, S._cancel_stale, NULL, NULL)",
+            "slot_call(slot, S._stale_timer, NULL, NULL)"),
+        state="Slot._stale_timer")
+
+
+def _rc805_slot_field() -> Fixture:
+    # A robust drop counter swapped for an agent field in the offset
+    # table: resolve_slot_fields would refuse it at import, the audit
+    # says so before any build.
+    return Fixture(
+        name="audit-RC805-slot-field", code="RC805",
+        run=_doctored_c("S.duplicate_drops, S.invalid_drops};",
+                        "S.goal_gen, S.invalid_drops};"),
+        state="Slot.goal_gen")
+
+
 def _det_fixture(name: str, code: str, source: str,
                  state: str) -> Fixture:
     def run() -> List[Diagnostic]:
@@ -283,6 +308,6 @@ def all_audit_fixtures() -> List[Fixture]:
     return [fn() for fn in (
         _rc801, _rc802, _rc803, _rc804, _rc805,
         _rc803_batch, _rc804_poison, _rc804_state, _rc805_gen,
-        _rc805_utd, _rc804_flowlink,
+        _rc805_utd, _rc804_flowlink, _rc805_slot_method, _rc805_slot_field,
         _rc810, _rc811, _rc812, _rc813, _rc814,
         _rc820, _rc821, _rc822, _rc823)]

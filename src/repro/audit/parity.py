@@ -128,6 +128,28 @@ def diff_surfaces(c: CSurface, py: PySurface) -> List[Diagnostic]:
                 "_ccore.c interns/fetches attribute name %r, which "
                 "appears nowhere in the Python reference modules"
                 % name, state=name))
+    # The slot kernels read and write Slot fields at the offsets of
+    # its __slots__ members, and the robust-mode paths call its timer
+    # methods; a name that exists elsewhere in the reference (so passes
+    # the check above) is not enough.
+    if not c.slot_fields:
+        found.append(_diag("RC805",
+                           "could not extract the resolve_slot_fields "
+                           "name table from _ccore.c (refactored away "
+                           "from the audited idiom?)"))
+    for name in c.slot_fields:
+        if name not in py.slot_members:
+            found.append(_diag(
+                "RC805",
+                "_ccore.c pins Slot.%s to a __slots__ offset, but Slot "
+                "declares no such member" % name,
+                state="Slot.%s" % name))
+    for name in c.slot_methods:
+        if name not in py.slot_methods:
+            found.append(_diag(
+                "RC805",
+                "_ccore.c calls Slot.%s(), which class Slot does not "
+                "define" % name, state="Slot.%s" % name))
     return found
 
 

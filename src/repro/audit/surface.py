@@ -8,8 +8,11 @@ runtime core:
     parser, just the handful of stylized idioms the extension uses
     throughout: ``PyModule_AddObject(mod, "Name", ...)`` exports, the
     ``ccore_methods`` table, ``#define`` constants, the ``cev_lt``
-    comparator body, the ``INTERN(field, "text")`` list, and
-    ``PyImport_ImportModule`` / ``PyObject_GetAttrString`` lookups.
+    comparator body, the ``INTERN(field, "text")`` list,
+    ``PyImport_ImportModule`` / ``PyObject_GetAttrString`` lookups, the
+    ``Slot`` fields ``resolve_slot_fields`` pins to ``__slots__``
+    offsets, and the reference ``Slot`` methods called through
+    ``slot_call``.
     The extension is hand-written in exactly these idioms, so pattern
     extraction is reliable; if a future refactor abandons one, the
     parity pass fails loudly (an empty surface diffs as massive drift)
@@ -21,8 +24,9 @@ runtime core:
     ``slot``, ``signals``, the goal machinery and ``flowlink``, and
     ``descriptor``): which ``_CORE.*`` kernels are consumed,
     the comparator field order of ``Event.__lt__`` and ``_earlier``,
-    the arena cap constants, the expected ABI version, and the
-    universe of attribute names the modules define or touch.
+    the arena cap constants, the expected ABI version, the universe of
+    attribute names the modules define or touch, and ``Slot``'s
+    ``__slots__`` members and methods.
 
 Both extractors accept source text, so the fixture negative controls
 can feed doctored sources through the very same code paths the real
@@ -107,6 +111,13 @@ class CSurface:
     #: (e.g. ``"receive"`` off the Slot type, ``"cancelled"`` off a
     #: foreign event).
     attr_lookups: Tuple[str, ...]
+    #: ``Slot`` fields the kernels read and write at fixed offsets (the
+    #: ``resolve_slot_fields`` name table): each must be a ``__slots__``
+    #: member.
+    slot_fields: Tuple[str, ...] = ()
+    #: Reference ``Slot`` methods the kernels call (``slot_call``): the
+    #: robust-mode timer arming and cancelling.
+    slot_methods: Tuple[str, ...] = ()
 
 
 _EXPORT_RE = re.compile(r'PyModule_AddObject\(mod,\s*"(\w+)"')
@@ -118,7 +129,12 @@ _DEFINE_RE = re.compile(r'^#define\s+([A-Z][A-Z0-9_]+)\s+(\d+)\s*$',
 _CMP_BODY_RE = re.compile(
     r'cev_lt\(CEvent \*a, CEvent \*b\)\s*\{(.*?)\n\}', re.S)
 _CMP_FIELD_RE = re.compile(r'a->(\w+)')
-_INTERN_RE = re.compile(r'INTERN\(\s*\w+\s*,\s*"([^"]+)"\s*\)')
+_INTERN_RE = re.compile(r'INTERN\(\s*(\w+)\s*,\s*"([^"]+)"\s*\)')
+_SLOT_FIELDS_RE = re.compile(
+    r'resolve_slot_fields\(void\)\s*\{.*?names\[SF_COUNT\]\s*=\s*'
+    r'\{(.*?)\};', re.S)
+_S_FIELD_RE = re.compile(r'\bS\.(\w+)')
+_SLOT_CALL_RE = re.compile(r'\bslot_call\(\s*[^,()]+,\s*S\.(\w+)')
 _IMPORT_OR_GETATTR_RE = re.compile(
     r'PyImport_ImportModule\("([^"]+)"\)'
     r'|PyObject_GetAttrString\((\w+),\s*"([^"]+)"\)')
@@ -143,7 +159,16 @@ def extract_c_surface(text: str) -> CSurface:
                 seen.append(fld)
         comparator = tuple(seen)
 
-    interned = tuple(_INTERN_RE.findall(text))
+    pairs = _INTERN_RE.findall(text)
+    interned = tuple(spelling for _, spelling in pairs)
+    # ``S.<field>`` names the interned string ``INTERN(field, text)``.
+    spelled = dict(pairs)
+    table = _SLOT_FIELDS_RE.search(text)
+    slot_fields = tuple(
+        spelled.get(f, f)
+        for f in _S_FIELD_RE.findall(table.group(1) if table else ""))
+    slot_methods = tuple(dict.fromkeys(
+        spelled.get(f, f) for f in _SLOT_CALL_RE.findall(text)))
 
     module_lookups: List[Tuple[str, str]] = []
     attr_lookups: List[str] = []
@@ -160,7 +185,9 @@ def extract_c_surface(text: str) -> CSurface:
     return CSurface(kernels=frozenset(kernels), constants=constants,
                     comparator=comparator, interned=interned,
                     module_lookups=tuple(module_lookups),
-                    attr_lookups=tuple(attr_lookups))
+                    attr_lookups=tuple(attr_lookups),
+                    slot_fields=slot_fields,
+                    slot_methods=slot_methods)
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +214,10 @@ class PySurface:
     #: Diagnostics produced during extraction itself (e.g. a reference
     #: module that fails to parse).
     problems: Tuple[str, ...] = field(default_factory=tuple)
+    #: ``Slot.__slots__`` in ``slot.py``.
+    slot_members: FrozenSet[str] = frozenset()
+    #: The methods ``class Slot`` defines.
+    slot_methods: FrozenSet[str] = frozenset()
 
 
 #: Python constant name (module basename, variable) → C ``#define``.
@@ -219,6 +250,8 @@ def extract_py_surface(sources: Dict[str, str]) -> PySurface:
     abi_expected: set = set()
     names: set = set()
     problems: List[str] = []
+    slot_members: set = set()
+    slot_methods: set = set()
 
     for path, text in sorted(sources.items()):
         base = os.path.basename(path)
@@ -252,6 +285,22 @@ def extract_py_surface(sources: Dict[str, str]) -> PySurface:
                 key = (base, node.targets[0].id)
                 if key in _CONSTANT_MAP:
                     constants[_CONSTANT_MAP[key]] = node.value.value
+
+        # The Slot class: its __slots__ members and its methods.
+        if base == "slot.py":
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name == "Slot":
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            slot_methods.add(item.name)
+                        elif (isinstance(item, ast.Assign)
+                                and any(isinstance(tg, ast.Name)
+                                        and tg.id == "__slots__"
+                                        for tg in item.targets)
+                                and isinstance(item.value, ast.Tuple)):
+                            slot_members.update(
+                                elt.value for elt in item.value.elts
+                                if isinstance(elt, ast.Constant))
 
         # Comparators: Event.__lt__ and the module-level _earlier.
         if base == "eventloop.py":
@@ -289,7 +338,9 @@ def extract_py_surface(sources: Dict[str, str]) -> PySurface:
                      constants=constants, comparators=comparators,
                      abi_expected=frozenset(abi_expected),
                      attribute_names=frozenset(names),
-                     problems=tuple(problems))
+                     problems=tuple(problems),
+                     slot_members=frozenset(slot_members),
+                     slot_methods=frozenset(slot_methods))
 
 
 def load_c_surface(root: Optional[str] = None) -> CSurface:

@@ -28,9 +28,9 @@
  *                  ChannelEnd._process (falls back to the Python
  *                  method for traced runs, meta messages, and every
  *                  other cold path), including the box's goal dispatch
- *                  and, for an exact FlowLink over reliable strict
- *                  slots, FlowLink.goal_receive and the slot sends it
- *                  issues (the flowlink kernel).
+ *                  and, for an exact FlowLink over strict slots (robust
+ *                  ones included), FlowLink.goal_receive and the slot
+ *                  sends it issues (the flowlink kernel).
  *
  * Correctness invariants shared with the Python side:
  *   - events execute in strict (time, priority, seq) order; the ready
@@ -48,7 +48,7 @@
 #include <Python.h>
 #include <structmember.h>
 
-#define CCORE_ABI_VERSION 3
+#define CCORE_ABI_VERSION 4
 
 /* Caps mirrored from the Python side (transport._FREELIST_MAX,
  * channel._ENV_POOL_MAX, and eventloop._DELIVER_BATCH_MAX). */
@@ -85,6 +85,9 @@ static struct {
     PyObject *codecs, *is_real, *_no_media, *_busy_medium;
     PyObject *_busy_descriptor, *_busy_attempts, *opens_sent;
     PyObject *describes_sent, *forwarded_selects, *discarded_selects;
+    /* robust slots: the reference timer methods and the drop counters */
+    PyObject *_arm_retx, *_arm_stale, *_cancel_stale, *_cancel_busy;
+    PyObject *_retx_signal, *duplicate_drops, *invalid_drops;
 } S;
 
 static PyObject *g_empty_tuple;
@@ -1312,7 +1315,8 @@ enum {
     SF_FAILED, SF_RETRANSMIT, SF_STRICT, SF_LOOP, SF_OWNER, SF_END, SF_TX,
     SF_RETX_KIND, SF_RETX_TIMER, SF_STALE_TIMER, SF_BUSY_TIMER,
     SF_BUSY_MEDIUM, SF_BUSY_DESC, SF_BUSY_ATTEMPTS, SF_SIGNALS_RECEIVED,
-    SF_SIGNALS_SENT, SF_RACE_DROPS, SF_STALE_DROPS, SF_COUNT
+    SF_SIGNALS_SENT, SF_RACE_DROPS, SF_STALE_DROPS, SF_RETX_SIGNAL,
+    SF_DUPLICATE_DROPS, SF_INVALID_DROPS, SF_COUNT
 };
 static Py_ssize_t g_slot_off[SF_COUNT];
 static PyObject *g_one;              /* the int 1, for counter bumps */
@@ -1326,7 +1330,8 @@ resolve_slot_fields(void)
         S.strict, S._loop, S._owner, S._end, S._tx, S._retx_kind,
         S._retx_timer, S._stale_timer, S._busy_timer, S._busy_medium,
         S._busy_descriptor, S._busy_attempts, S.signals_received,
-        S.signals_sent, S.race_drops, S.stale_drops};
+        S.signals_sent, S.race_drops, S.stale_drops, S._retx_signal,
+        S.duplicate_drops, S.invalid_drops};
     int f;
     for (f = 0; f < SF_COUNT; f++) {
         PyObject *d = PyObject_GetAttr(g_slot_type, names[f]);
@@ -1407,13 +1412,19 @@ slot_incr(PyObject *slot, int f)
 }
 
 /* ------------------------------------------------------------------ */
-/* slot FSM fast path (third perf wave)                                */
+/* slot FSM fast path                                                  */
 /* ------------------------------------------------------------------ */
-/* The legal receive transitions of a reliable strict slot are executed
- * here without entering a Python frame.  Anything outside that
- * configuration -- robust mode, lenient slots, armed timers, busy
- * refusals, illegal receives, traced loops, arena poisoning -- falls
- * back to the reference handlers in protocol/slot.py, which stay the
+/* The receive transitions of a strict slot are executed here without
+ * entering a Python frame: the legal ones of Fig. 9 and, for a robust
+ * slot (one with a RetransmitPolicy), the duplicate absorption and the
+ * invalid-signal drops of the reference handlers, and Slot.receive's
+ * retransmit-acknowledgement epilogue.  The retransmission and
+ * staleness timers stay Python Events on node.set_timer: the kernel
+ * cancels them by calling the reference _cancel_* methods.  Anything
+ * outside that configuration -- lenient or failed slots, an armed
+ * busy-retry timer, Busy signals, illegal receives at a reliable slot
+ * (the reference raises), traced loops, arena poisoning -- falls back
+ * to the reference handlers in protocol/slot.py, which stay the
  * specification. */
 
 /* owner.goal_gen += 1: the C twin of the bump in Slot._set_state. */
@@ -1444,22 +1455,69 @@ fsm_copy_attr(PyObject *slot, int dst, PyObject *sig, PyObject *src)
     return 0;
 }
 
-/* All retransmission/staleness/busy timers unarmed?  The reference
- * close path cancels them; the C reset only clears descriptor state,
- * so an armed timer routes the signal back to the Python handler. */
-static int
-fsm_timers_clear(PyObject *slot)
+/* Build sig_type(a[, b]) through its class and transmit it; returns
+ * the sent signal (new reference: a retransmission timer re-sends this
+ * very object) or NULL + PyErr. */
+static PyObject *
+fsm_tx_new(PyObject *slot, PyObject *sig_type, PyObject *a, PyObject *b)
 {
-    return slot_get(slot, SF_RETX_TIMER) == Py_None
-        && slot_get(slot, SF_STALE_TIMER) == Py_None
-        && slot_get(slot, SF_BUSY_TIMER) == Py_None;
+    PyObject *args[2] = {a, b};
+    PyObject *sig = PyObject_Vectorcall(sig_type, args, b == NULL ? 1 : 2,
+                                        NULL);
+    if (sig != NULL && fsm_tx(slot, sig) < 0)
+        Py_CLEAR(sig);
+    return sig;
 }
 
-/* The C twin of Slot._reset_to_closed for a reliable strict slot whose
- * timers are verified unarmed: state to closed (with the generation
- * bump) and the descriptor/selector fields to None.  The _cancel_*
- * calls in the reference are no-ops in that configuration beyond
- * re-Noneing fields that are already None. */
+/* slot.<name>([a[, b]]): a reference Slot method (the timer
+ * machinery).  The audit's surface extractor reads the method names
+ * off these calls. */
+static int
+slot_call(PyObject *slot, PyObject *name, PyObject *a, PyObject *b)
+{
+    PyObject *args[3] = {slot, a, b};
+    PyObject *res = PyObject_VectorcallMethod(
+        name, args, a == NULL ? 1 : b == NULL ? 2 : 3, NULL);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* The reference _cancel_retx / _cancel_stale / _cancel_busy, each
+ * called only when it has a field to clear: with all of them None the
+ * method is a no-op, which on a reliable slot it always is. */
+static int
+slot_cancel_retx(PyObject *slot)
+{
+    if (slot_get(slot, SF_RETX_TIMER) == Py_None
+        && slot_get(slot, SF_RETX_SIGNAL) == Py_None
+        && slot_get(slot, SF_RETX_KIND) == Py_None)
+        return 0;
+    return slot_call(slot, S._cancel_retx, NULL, NULL);
+}
+
+static int
+slot_cancel_stale(PyObject *slot)
+{
+    if (slot_get(slot, SF_STALE_TIMER) == Py_None)
+        return 0;
+    return slot_call(slot, S._cancel_stale, NULL, NULL);
+}
+
+static int
+slot_cancel_busy(PyObject *slot)
+{
+    if (slot_get(slot, SF_BUSY_TIMER) == Py_None
+        && slot_get(slot, SF_BUSY_MEDIUM) == Py_None
+        && slot_get(slot, SF_BUSY_DESC) == Py_None)
+        return 0;
+    return slot_call(slot, S._cancel_busy, NULL, NULL);
+}
+
+/* The C twin of Slot._reset_to_closed: state to closed (with the
+ * generation bump), the descriptor/selector fields to None, then the
+ * three timer cancels in the reference order. */
 static int
 fsm_reset_to_closed(PyObject *slot, PyObject *owner)
 {
@@ -1470,7 +1528,193 @@ fsm_reset_to_closed(PyObject *slot, PyObject *owner)
     slot_put(slot, SF_LD, Py_None);
     slot_put(slot, SF_SEL_RECV, Py_None);
     slot_put(slot, SF_SEL_SENT, Py_None);
+    if (slot_cancel_retx(slot) < 0 || slot_cancel_stale(slot) < 0
+        || slot_cancel_busy(slot) < 0)
+        return -1;
     return 0;
+}
+
+/* Slot.receive's epilogue: an unacknowledged open is acknowledged by
+ * whatever receive moved the slot out of opening; a close only by
+ * reaching closed. */
+static int
+fsm_retx_ack(PyObject *slot)
+{
+    PyObject *kind = slot_get(slot, SF_RETX_KIND);
+    PyObject *state = slot_get(slot, SF_STATE);
+    int eq, acked;
+
+    if (kind == NULL || kind == Py_None)
+        return 0;
+    if (state == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "Slot.state is unset");
+        return -1;
+    }
+    eq = PyObject_RichCompareBool(kind, g_kind_open, Py_EQ);
+    if (eq < 0)
+        return -1;
+    if (eq)
+        acked = PyObject_RichCompareBool(state, g_state_opening, Py_NE);
+    else {
+        eq = PyObject_RichCompareBool(kind, g_kind_close, Py_EQ);
+        if (eq < 0)
+            return -1;
+        acked = eq ? PyObject_RichCompareBool(state, g_state_closed, Py_EQ)
+            : 0;
+    }
+    if (acked < 0)
+        return -1;
+    return acked ? slot_call(slot, S._cancel_retx, NULL, NULL) : 0;
+}
+
+/* Does the selector answer desc (``answers is desc.id or ==``)? */
+static int
+sel_answers(PyObject *selector, PyObject *desc)
+{
+    PyObject *answers, *did;
+    int st;
+    answers = PyObject_GetAttr(selector, S.answers);
+    if (answers == NULL)
+        return -1;
+    did = PyObject_GetAttr(desc, S.id);
+    if (did == NULL) {
+        Py_DECREF(answers);
+        return -1;
+    }
+    st = (answers == did) ? 1
+        : PyObject_RichCompareBool(answers, did, Py_EQ);
+    Py_DECREF(answers);
+    Py_DECREF(did);
+    return st;
+}
+
+/* A robust slot's repeat test, ``signal.descriptor.id ==
+ * self.remote_descriptor.id`` guarded by ``remote_descriptor is not
+ * None``: 1 same episode, 0 not, -1 + PyErr. */
+static int
+fsm_same_episode(PyObject *slot, PyObject *sig)
+{
+    PyObject *rd = slot_get(slot, SF_RD), *desc, *a, *b;
+    int st;
+    if (rd == NULL || rd == Py_None)
+        return 0;
+    desc = PyObject_GetAttr(sig, S.descriptor);
+    if (desc == NULL)
+        return -1;
+    a = PyObject_GetAttr(desc, S.id);
+    Py_DECREF(desc);
+    if (a == NULL)
+        return -1;
+    b = PyObject_GetAttr(rd, S.id);
+    if (b == NULL) {
+        Py_DECREF(a);
+        return -1;
+    }
+    st = PyObject_RichCompareBool(a, b, Py_EQ);
+    Py_DECREF(a);
+    Py_DECREF(b);
+    return st;
+}
+
+/* What the reference handler does with one (state, signal) pair. */
+enum {
+    FSM_REFERENCE,      /* run the Python handler instead */
+    FSM_OPENED,         /* medium + remote descriptor, to opened */
+    FSM_RACE_DROP,      /* the initiator ignores the losing open */
+    FSM_FLOWING,        /* remote descriptor, to flowing */
+    FSM_ACK_CLOSE,      /* closeack, reset to closed */
+    FSM_DESCRIBED,      /* remote descriptor */
+    FSM_SELECTED,       /* selector received (+ stale timer cancel) */
+    FSM_CROSS_CLOSE,    /* closeack, keep closing */
+    FSM_CLOSED,         /* our close acknowledged: reset to closed */
+    FSM_STALE,          /* drained while closing */
+    FSM_DUPLICATE,      /* robust: a repeat, absorbed */
+    FSM_RE_CLOSEACK,    /* robust: a repeat close, re-acknowledged */
+    FSM_RE_OACK,        /* robust: a repeat open, re-oacked */
+    FSM_INVALID         /* robust: out-of-place, dropped */
+};
+
+/* Decide without side effects (check first, then commit).  *cancel
+ * reports a select answering the local descriptor while the staleness
+ * timer runs.  -1 + PyErr when a probe raised: the reference re-raises
+ * it in context. */
+static int
+fsm_classify(PyObject *slot, PyObject *sig, int st_id, int *cancel)
+{
+    PyObject *tp = (PyObject *)Py_TYPE(sig);
+    int robust = slot_get(slot, SF_RETRANSMIT) != Py_None, same;
+
+    switch (st_id) {
+    case ST_CLOSED:
+        if (tp == g_sig_open)
+            return FSM_OPENED;
+        if (!robust)
+            return FSM_REFERENCE;       /* illegal: the reference raises */
+        return tp == g_sig_close ? FSM_RE_CLOSEACK : FSM_DUPLICATE;
+    case ST_OPENING:
+        if (tp == g_sig_open) {
+            /* open/open race (Sec. VI-B): the initiator wins */
+            PyObject *end = slot_get(slot, SF_END);
+            long long side;
+            if (end == NULL)
+                return FSM_REFERENCE;
+            if (get_attr_ll(end, S.side, &side) < 0)
+                return -1;
+            return side == 0 ? FSM_RACE_DROP : FSM_OPENED;
+        }
+        if (tp == g_sig_oack)
+            return FSM_FLOWING;
+        if (tp == g_sig_close)
+            return FSM_ACK_CLOSE;
+        if (!robust)
+            return FSM_REFERENCE;
+        return tp == g_sig_closeack ? FSM_DUPLICATE : FSM_INVALID;
+    case ST_OPENED:
+        if (tp == g_sig_close)
+            return FSM_ACK_CLOSE;
+        if (!robust)
+            return FSM_REFERENCE;
+        if (tp != g_sig_open)
+            return FSM_INVALID;
+        same = fsm_same_episode(slot, sig);
+        return same < 0 ? -1 : same ? FSM_DUPLICATE : FSM_INVALID;
+    case ST_FLOWING:
+        if (tp == g_sig_describe)
+            return FSM_DESCRIBED;
+        if (tp == g_sig_select) {
+            PyObject *ld = slot_get(slot, SF_LD), *selector;
+            *cancel = 0;
+            if (slot_get(slot, SF_STALE_TIMER) != Py_None
+                && ld != NULL && ld != Py_None) {
+                selector = PyObject_GetAttr(sig, S.selector);
+                if (selector == NULL)
+                    return -1;
+                *cancel = sel_answers(selector, ld);
+                Py_DECREF(selector);
+                if (*cancel < 0)
+                    return -1;
+            }
+            return FSM_SELECTED;
+        }
+        if (tp == g_sig_close)
+            return FSM_ACK_CLOSE;
+        if (!robust)
+            return FSM_REFERENCE;
+        if (tp == g_sig_open || tp == g_sig_oack) {
+            same = fsm_same_episode(slot, sig);
+            if (same <= 0)
+                return same < 0 ? -1 : FSM_INVALID;
+            return tp == g_sig_open ? FSM_RE_OACK : FSM_DUPLICATE;
+        }
+        return FSM_DUPLICATE;           /* closeack */
+    case ST_CLOSING:
+        if (tp == g_sig_close)
+            return FSM_CROSS_CLOSE;
+        if (tp == g_sig_closeack)
+            return FSM_CLOSED;
+        return FSM_STALE;   /* sent before the peer saw our close */
+    }
+    return FSM_REFERENCE;
 }
 
 /* Try to run one receive entirely in C.  Caller guarantees an exact
@@ -1483,159 +1727,125 @@ static int
 slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
               PyObject *owner, int *handled)
 {
-    PyObject *tp = (PyObject *)Py_TYPE(sig);
-    int st_id = slot_state_id(state);
+    PyObject *tp = (PyObject *)Py_TYPE(sig), *ld, *sent;
+    int st_id = slot_state_id(state), action, cancel = 0, accepted = 0;
 
     *handled = 0;
-    if (st_id < 0)
-        return 0;
-
-    /* Gate: reliable (no retransmission policy, no pending ack),
-     * strict, not failed -- the provably timer-free configuration. */
-    if (slot_get(slot, SF_RETRANSMIT) != Py_None
-        || slot_get(slot, SF_RETX_KIND) != Py_None
+    /* Gate: one of the six base signals at a strict, not failed slot
+     * with no busy retry pending. */
+    if (st_id < 0
+        || (tp != g_sig_open && tp != g_sig_oack && tp != g_sig_close
+            && tp != g_sig_closeack && tp != g_sig_describe
+            && tp != g_sig_select)
         || slot_get(slot, SF_STRICT) != Py_True
-        || slot_get(slot, SF_FAILED) != Py_False)
+        || slot_get(slot, SF_FAILED) != Py_False
+        || slot_get(slot, SF_BUSY_TIMER) != Py_None
+        || slot_get(slot, SF_RETRANSMIT) == NULL)
         return 0;
-
-    switch (st_id) {
-    case ST_CLOSED:
-        if (tp == g_sig_open) {
-            *handled = 1;
-            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
-                return -1;
-            if (fsm_copy_attr(slot, SF_MEDIUM, sig, S.medium) < 0)
-                return -1;
-            if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
-                return -1;
-            if (fsm_set_state(slot, owner, g_state_opened) < 0)
-                return -1;
-            return 1;
-        }
-        return 0;
-    case ST_OPENING:
-        if (tp == g_sig_open) {
-            /* open/open race (Sec. VI-B): the initiator wins */
-            PyObject *end = slot_get(slot, SF_END);
-            long long side;
-            if (end == NULL)
-                return 0;
-            if (get_attr_ll(end, S.side, &side) < 0)
-                return -1;
-            *handled = 1;
-            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
-                return -1;
-            if (side == 0)
-                return slot_incr(slot, SF_RACE_DROPS) < 0 ? -1 : 0;
-            if (fsm_copy_attr(slot, SF_MEDIUM, sig, S.medium) < 0)
-                return -1;
-            if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
-                return -1;
-            if (fsm_set_state(slot, owner, g_state_opened) < 0)
-                return -1;
-            return 1;
-        }
-        if (tp == g_sig_oack) {
-            *handled = 1;
-            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
-                return -1;
-            if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
-                return -1;
-            if (fsm_set_state(slot, owner, g_state_flowing) < 0)
-                return -1;
-            return 1;
-        }
-        if (tp == g_sig_close)
-            goto ack_close;
-        return 0;  /* Busy (refusal machinery) and illegal: reference */
-    case ST_OPENED:
-        if (tp == g_sig_close)
-            goto ack_close;
-        return 0;
-    case ST_FLOWING:
-        if (tp == g_sig_describe) {
-            *handled = 1;
-            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
-                return -1;
-            if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
-                return -1;
-            return 1;
-        }
-        if (tp == g_sig_select) {
-            /* with no staleness recovery armed the reference handler
-             * only records the selector */
-            if (slot_get(slot, SF_STALE_TIMER) != Py_None)
-                return 0;
-            *handled = 1;
-            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
-                return -1;
-            if (fsm_copy_attr(slot, SF_SEL_RECV, sig, S.selector) < 0)
-                return -1;
-            return 1;
-        }
-        if (tp == g_sig_close)
-            goto ack_close;
-        return 0;
-    case ST_CLOSING:
-        if (tp == g_sig_close) {
-            /* crossing closes: acknowledge theirs, keep waiting */
-            *handled = 1;
-            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
-                return -1;
-            if (fsm_tx(slot, g_closeack) < 0)
-                return -1;
-            return 1;
-        }
-        if (tp == g_sig_closeack) {
-            if (!fsm_timers_clear(slot))
-                return 0;
-            *handled = 1;
-            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
-                return -1;
-            if (fsm_reset_to_closed(slot, owner) < 0)
-                return -1;
-            return 1;
-        }
-        if (tp == g_sig_open || tp == g_sig_oack || tp == g_sig_describe
-            || tp == g_sig_select || tp == g_sig_busy) {
-            /* sent before the peer saw our close; drain */
-            *handled = 1;
-            if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
-                return -1;
-            return slot_incr(slot, SF_STALE_DROPS) < 0 ? -1 : 0;
-        }
+    action = fsm_classify(slot, sig, st_id, &cancel);
+    if (action < 0) {
+        if (!PyErr_ExceptionMatches(PyExc_Exception))
+            return -1;
+        PyErr_Clear();
         return 0;
     }
-    return 0;
-
-ack_close:
-    /* _acknowledge_close: answer with a closeack, reset to closed */
-    if (!fsm_timers_clear(slot))
+    if (action == FSM_REFERENCE)
         return 0;
+
     *handled = 1;
     if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
         return -1;
-    if (fsm_tx(slot, g_closeack) < 0)
-        return -1;
-    if (fsm_reset_to_closed(slot, owner) < 0)
-        return -1;
-    return 1;
+    switch (action) {
+    case FSM_OPENED:
+        if (fsm_copy_attr(slot, SF_MEDIUM, sig, S.medium) < 0
+            || fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0
+            || fsm_set_state(slot, owner, g_state_opened) < 0)
+            return -1;
+        accepted = 1;
+        break;
+    case FSM_RACE_DROP:
+        if (slot_incr(slot, SF_RACE_DROPS) < 0)
+            return -1;
+        break;
+    case FSM_FLOWING:
+        if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0
+            || fsm_set_state(slot, owner, g_state_flowing) < 0)
+            return -1;
+        accepted = 1;
+        break;
+    case FSM_ACK_CLOSE:
+        if (fsm_tx(slot, g_closeack) < 0
+            || fsm_reset_to_closed(slot, owner) < 0)
+            return -1;
+        accepted = 1;
+        break;
+    case FSM_DESCRIBED:
+        if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
+            return -1;
+        accepted = 1;
+        break;
+    case FSM_SELECTED:
+        if (fsm_copy_attr(slot, SF_SEL_RECV, sig, S.selector) < 0
+            || (cancel && slot_call(slot, S._cancel_stale, NULL, NULL) < 0))
+            return -1;
+        accepted = 1;
+        break;
+    case FSM_CROSS_CLOSE:
+        if (fsm_tx(slot, g_closeack) < 0)
+            return -1;
+        accepted = 1;
+        break;
+    case FSM_CLOSED:
+        if (fsm_reset_to_closed(slot, owner) < 0)
+            return -1;
+        accepted = 1;
+        break;
+    case FSM_STALE:
+        if (slot_incr(slot, SF_STALE_DROPS) < 0)
+            return -1;
+        break;
+    case FSM_DUPLICATE:
+        if (slot_incr(slot, SF_DUPLICATE_DROPS) < 0)
+            return -1;
+        break;
+    case FSM_RE_CLOSEACK:
+        if (slot_incr(slot, SF_DUPLICATE_DROPS) < 0
+            || fsm_tx(slot, g_closeack) < 0)
+            return -1;
+        break;
+    case FSM_RE_OACK:
+        if (slot_incr(slot, SF_DUPLICATE_DROPS) < 0)
+            return -1;
+        ld = slot_get(slot, SF_LD);
+        if (ld != NULL && ld != Py_None) {
+            sent = fsm_tx_new(slot, g_sig_oack, ld, NULL);
+            if (sent == NULL)
+                return -1;
+            Py_DECREF(sent);
+        }
+        break;
+    case FSM_INVALID:
+        if (slot_incr(slot, SF_INVALID_DROPS) < 0)
+            return -1;
+        break;
+    }
+    return fsm_retx_ack(slot) < 0 ? -1 : accepted;
 }
 
 /* ------------------------------------------------------------------ */
 /* Process                                                             */
 /* ------------------------------------------------------------------ */
 /* Inline of Slot.receive's dispatch shell: counter bump, per-state
- * handler dispatch, and the robust-mode retransmission-acknowledged
- * check.  Legal fast-path signals are executed by slot_fsm_fast above
- * without a Python frame.  Returns 0/1 (the handler's accepted
- * verdict) or -1 + PyErr.  Unknown states fall back to the Python
- * method, which owns the descriptive failure. */
+ * handler dispatch, and the retransmission-acknowledged epilogue.
+ * Fast-path signals are executed by slot_fsm_fast above without a
+ * Python frame.  Returns 0/1 (the handler's accepted verdict) or -1 +
+ * PyErr.  Unknown states fall back to the Python method, which owns
+ * the descriptive failure. */
 static int
 slot_receive_inline(PyObject *slot, PyObject *sig, PyObject *owner)
 {
-    PyObject *state, *handler, *res, *retx;
-    int accepted, eq;
+    PyObject *state, *handler, *res;
+    int accepted;
 
     state = PyObject_GetAttr(slot, S.state);
     if (state == NULL)
@@ -1660,7 +1870,7 @@ slot_receive_inline(PyObject *slot, PyObject *sig, PyObject *owner)
         Py_DECREF(res);
         return accepted;
     }
-    if (attr_add_ll(slot, S.signals_received, 1, NULL) < 0)
+    if (slot_incr(slot, SF_SIGNALS_RECEIVED) < 0)
         return -1;
     res = PyObject_CallFunctionObjArgs(handler, slot, sig, NULL);
     if (res == NULL)
@@ -1669,54 +1879,7 @@ slot_receive_inline(PyObject *slot, PyObject *sig, PyObject *owner)
     Py_DECREF(res);
     if (accepted < 0)
         return -1;
-    retx = PyObject_GetAttr(slot, S._retx_kind);
-    if (retx == NULL)
-        return -1;
-    if (retx != Py_None) {
-        eq = PyObject_RichCompareBool(retx, g_kind_open, Py_EQ);
-        if (eq < 0)
-            goto retx_fail;
-        if (eq) {
-            state = PyObject_GetAttr(slot, S.state);
-            if (state == NULL)
-                goto retx_fail;
-            eq = PyObject_RichCompareBool(state, g_state_opening, Py_EQ);
-            Py_DECREF(state);
-            if (eq < 0)
-                goto retx_fail;
-            if (!eq) {
-                res = PyObject_CallMethodNoArgs(slot, S._cancel_retx);
-                if (res == NULL)
-                    goto retx_fail;
-                Py_DECREF(res);
-            }
-        }
-        else {
-            eq = PyObject_RichCompareBool(retx, g_kind_close, Py_EQ);
-            if (eq < 0)
-                goto retx_fail;
-            if (eq) {
-                state = PyObject_GetAttr(slot, S.state);
-                if (state == NULL)
-                    goto retx_fail;
-                eq = PyObject_RichCompareBool(state, g_state_closed, Py_EQ);
-                Py_DECREF(state);
-                if (eq < 0)
-                    goto retx_fail;
-                if (eq) {
-                    res = PyObject_CallMethodNoArgs(slot, S._cancel_retx);
-                    if (res == NULL)
-                        goto retx_fail;
-                    Py_DECREF(res);
-                }
-            }
-        }
-    }
-    Py_DECREF(retx);
-    return accepted;
-retx_fail:
-    Py_DECREF(retx);
-    return -1;
+    return fsm_retx_ack(slot) < 0 ? -1 : accepted;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1725,7 +1888,11 @@ retx_fail:
 /* C twin of FlowLink.goal_receive (core/flowlink.py) together with the
  * _work / _open_through / _forward_select steps it calls and the
  * Slot.send_* calls those issue, for a flowlink of exact type FlowLink
- * whose two slots are reliable, strict, not failed and timer-free.
+ * whose two slots are strict, not failed and have no busy retry
+ * pending.  On a robust slot the sends arm and cancel their timers by
+ * calling the reference _arm_retx / _arm_stale / _cancel_stale in the
+ * reference order (after the transmit, so the timer draws its event
+ * seq after the delivery does, as in Python).
  *
  * Check first, then commit: the kernel runs the reference logic twice
  * over a shadow of the Python-visible state (slot protocol states,
@@ -1735,9 +1902,10 @@ retx_fail:
  * Python (medium mismatch, undescribed open-through minting a noMedia
  * placeholder, a selector that fails validate_against, ...).  Only
  * then does the commit pass replay the same decisions, performing the
- * slot field updates, goal_gen bumps, dict writes, counter bumps and
- * transmits in the reference order.  A signal the check pass rejects
- * goes to the Python goal_receive with nothing touched. */
+ * slot field updates, goal_gen bumps, dict writes, counter bumps,
+ * transmits and timer arming in the reference order.  A signal the
+ * check pass rejects goes to the Python goal_receive with nothing
+ * touched. */
 
 typedef struct {
     PyObject *slot;     /* borrowed: each pointer below is owned by */
@@ -1745,6 +1913,7 @@ typedef struct {
     PyObject *rd;       /* remote_descriptor (Py_None if undescribed) */
     PyObject *medium;   /* Py_None until opened */
     int state, utd, reopen;
+    int robust;         /* carries a RetransmitPolicy: sends arm timers */
 } FlSide;
 
 typedef struct {
@@ -1807,13 +1976,14 @@ fl_side(FlCtx *c, FlSide *s, PyObject *slot, PyObject *loop)
     if ((PyObject *)Py_TYPE(slot) != g_slot_type)
         return 0;
     s->slot = slot;
-    /* reliable, strict, not failed, timer-free, on the untraced loop */
+    /* strict, not failed, no busy retry pending, on the untraced loop */
     if (slot_get(slot, SF_LOOP) != loop
-        || slot_get(slot, SF_RETRANSMIT) != Py_None
+        || slot_get(slot, SF_RETRANSMIT) == NULL
         || slot_get(slot, SF_STRICT) != Py_True
         || slot_get(slot, SF_FAILED) != Py_False
-        || !fsm_timers_clear(slot))
+        || slot_get(slot, SF_BUSY_TIMER) != Py_None)
         return 0;
+    s->robust = slot_get(slot, SF_RETRANSMIT) != Py_None;
     s->state = slot_get(slot, SF_STATE) == NULL ? -1
         : slot_state_id(slot_get(slot, SF_STATE));
     owner = slot_get(slot, SF_OWNER);
@@ -1898,23 +2068,27 @@ fl_set_state(FlSide *s, PyObject *state)
     return fsm_bump_gen(s->owner);
 }
 
-/* Build sig_type(a[, b]) through its class and transmit it. */
+/* Send a fresh sig_type(a[, b]) from side s; a robust slot then arms
+ * its timer on it (_arm_stale, or _arm_retx(retx_kind, sig) when
+ * retx_kind is given). */
 static int
-fl_tx_new(PyObject *slot, PyObject *sig_type, PyObject *a, PyObject *b)
+fl_tx_new(FlSide *s, PyObject *sig_type, PyObject *a, PyObject *b,
+          PyObject *retx_kind)
 {
-    PyObject *args[2] = {a, b};
-    PyObject *sig = PyObject_Vectorcall(sig_type, args, b == NULL ? 1 : 2,
-                                        NULL);
-    int st;
+    PyObject *sig = fsm_tx_new(s->slot, sig_type, a, b);
+    int st = 0;
     if (sig == NULL)
         return -1;
-    st = fsm_tx(slot, sig);
+    if (s->robust)
+        st = retx_kind != NULL
+            ? slot_call(s->slot, S._arm_retx, retx_kind, sig)
+            : slot_call(s->slot, S._arm_stale, NULL, NULL);
     Py_DECREF(sig);
     return st;
 }
 
-/* Slot.send_open for a reliable slot with no busy timer: 1 sent,
- * 0 illegal (check pass), -1 error. */
+/* Slot.send_open for a slot with no busy timer: 1 sent, 0 illegal
+ * (check pass), -1 error. */
 static int
 fl_send_open(FlCtx *c, int i, PyObject *medium, PyObject *desc)
 {
@@ -1938,7 +2112,7 @@ fl_send_open(FlCtx *c, int i, PyObject *medium, PyObject *desc)
     slot_put(s->slot, SF_BUSY_ATTEMPTS, zero);
     Py_DECREF(zero);
     if (fl_set_state(s, g_state_opening) < 0
-        || fl_tx_new(s->slot, g_sig_open, medium, desc) < 0)
+        || fl_tx_new(s, g_sig_open, medium, desc, g_kind_open) < 0)
         return -1;
     return 1;
 }
@@ -1954,7 +2128,7 @@ fl_send_oack(FlCtx *c, int i, PyObject *desc)
         return 1;
     slot_put(s->slot, SF_LD, desc);
     if (fl_set_state(s, g_state_flowing) < 0
-        || fl_tx_new(s->slot, g_sig_oack, desc, NULL) < 0)
+        || fl_tx_new(s, g_sig_oack, desc, NULL, NULL) < 0)
         return -1;
     return 1;
 }
@@ -1968,7 +2142,11 @@ fl_send_close(FlCtx *c, int i)
     s->state = ST_CLOSING;
     if (!c->commit)
         return 1;
-    if (fl_set_state(s, g_state_closing) < 0 || fsm_tx(s->slot, g_close) < 0)
+    if (fl_set_state(s, g_state_closing) < 0
+        || slot_cancel_stale(s->slot) < 0
+        || fsm_tx(s->slot, g_close) < 0
+        || (s->robust
+            && slot_call(s->slot, S._arm_retx, g_kind_close, g_close) < 0))
         return -1;
     return 1;
 }
@@ -1982,7 +2160,7 @@ fl_send_describe(FlCtx *c, int i, PyObject *desc)
     if (!c->commit)
         return 1;
     slot_put(s->slot, SF_LD, desc);
-    if (fl_tx_new(s->slot, g_sig_describe, desc, NULL) < 0)
+    if (fl_tx_new(s, g_sig_describe, desc, NULL, NULL) < 0)
         return -1;
     return 1;
 }
@@ -2032,13 +2210,16 @@ static int
 fl_send_select(FlCtx *c, int i, PyObject *selector)
 {
     FlSide *s = &c->side[i];
+    PyObject *sig;
     if (s->state != ST_FLOWING || s->rd == Py_None)
         return fl_reject(c);
     if (!c->commit)
         return fl_select_valid(selector, s->rd);
     slot_put(s->slot, SF_SEL_SENT, selector);
-    if (fl_tx_new(s->slot, g_sig_select, selector, NULL) < 0)
+    sig = fsm_tx_new(s->slot, g_sig_select, selector, NULL);
+    if (sig == NULL)
         return -1;
+    Py_DECREF(sig);
     return 1;
 }
 
@@ -2090,27 +2271,6 @@ fl_work(FlCtx *c)
     return 1;
 }
 
-/* Does the selector answer desc (``answers is desc.id or ==``)? */
-static int
-fl_answers(PyObject *selector, PyObject *desc)
-{
-    PyObject *answers, *did;
-    int st;
-    answers = PyObject_GetAttr(selector, S.answers);
-    if (answers == NULL)
-        return -1;
-    did = PyObject_GetAttr(desc, S.id);
-    if (did == NULL) {
-        Py_DECREF(answers);
-        return -1;
-    }
-    st = (answers == did) ? 1
-        : PyObject_RichCompareBool(answers, did, Py_EQ);
-    Py_DECREF(answers);
-    Py_DECREF(did);
-    return st;
-}
-
 /* One pass of FlowLink.goal_receive over the shadow.  1 done, 0 the
  * reference must run instead, -1 error. */
 static int
@@ -2150,7 +2310,7 @@ fl_receive(FlCtx *c, int i, PyObject *sig)
         if (!c->commit) {
             c->fresh = 0;
             if (peer->state == ST_FLOWING && peer->rd != Py_None) {
-                c->fresh = fl_answers(selector, peer->rd);
+                c->fresh = sel_answers(selector, peer->rd);
                 if (c->fresh < 0) {
                     Py_DECREF(selector);
                     return -1;
@@ -2328,7 +2488,7 @@ fail:
 static int
 process_impl(ProcessObj *p, PyObject *msg)
 {
-    PyObject *trace, *tid, *slot, *sig, *acc;
+    PyObject *trace, *tid, *slot, *sig;
     int flag, accepted;
 
     flag = get_attr_bool(p->chend, S.alive);
@@ -3497,6 +3657,13 @@ intern_all(void)
     INTERN(describes_sent, "describes_sent");
     INTERN(forwarded_selects, "forwarded_selects");
     INTERN(discarded_selects, "discarded_selects");
+    INTERN(_arm_retx, "_arm_retx");
+    INTERN(_arm_stale, "_arm_stale");
+    INTERN(_cancel_stale, "_cancel_stale");
+    INTERN(_cancel_busy, "_cancel_busy");
+    INTERN(_retx_signal, "_retx_signal");
+    INTERN(duplicate_drops, "duplicate_drops");
+    INTERN(invalid_drops, "invalid_drops");
 #undef INTERN
     return 0;
 }

@@ -1,26 +1,34 @@
 """Cross-backend differential oracle for flowlink forwarding.
 
 Under the compiled backend a flowlink of exact type ``FlowLink`` whose
-slots are reliable and strict runs ``goal_receive`` -- and the slot
-sends it issues -- in C; everything else falls back to the reference
-``core/flowlink.py``.  This oracle drives seeded chains of one to three
-flowlink boxes between two user devices through random opens, accepts,
-rejects, closes, mute changes, re-descriptions, partial runs and
-settles, once per backend in a child interpreter, and requires the
-per-seed digests to be identical.
+slots are strict runs ``goal_receive`` -- and the slot sends it issues,
+with their retransmission and staleness timers on robust slots -- in
+C; everything else falls back to the reference ``core/flowlink.py``.
+This oracle drives seeded chains of one to three flowlink boxes
+between two user devices through random opens, accepts, rejects,
+closes, mute changes, re-descriptions, partial runs and settles, once
+per backend in a child interpreter, and requires the per-seed digests
+to be identical.
 
 A digest covers every slot's protocol state, medium, descriptors,
 selectors and counters, every flowlink's ``_utd``/``_reopen`` flags and
-counters, every agent's ``goal_gen``, ``loop.executed``, ``loop.now``
-and the exception a run raised, if any.  Seeds also plant the seams the
-kernel's gates must route to Python: open/open races from both ends,
-crossing closes, selects answering superseded descriptors, a selector
-whose codec the far descriptor does not offer (``ProtocolError`` on
-both backends), an open carrying no descriptor (the undescribed
-open-through mints a ``noMedia`` placeholder), opens of different media
-meeting at a box (``PreconditionError``), a tracer installed and removed
-mid-call, a ``RetransmitPolicy`` on one link, a lenient link, and a
-``FlowLink`` subclass.
+counters, every agent's ``goal_gen``, ``loop.executed``, ``loop.now``,
+a hash of ``loop.rng``'s state and the exception a run raised, if
+any.  Seeds also plant the seams the kernel's gates must route to
+Python, and the mixed configurations it must get right: open/open
+races from both ends, crossing closes, selects answering superseded
+descriptors, a selector whose codec the far descriptor does not offer
+(``ProtocolError`` on both backends), an open carrying no descriptor
+(the undescribed open-through mints a ``noMedia`` placeholder), opens
+of different media meeting at a box (``PreconditionError``), a tracer
+installed and removed mid-call, a ``RetransmitPolicy`` on one link (a
+mixed chain: the kernel arms timers on its robust side only), a
+lenient link, and a ``FlowLink`` subclass.
+
+Seeds from ``ROBUST_BASE`` on are robust throughout: every link carries
+a ``RetransmitPolicy()`` under the ``drop10+dup10`` or ``drop20+dup20``
+fault plan, so duplicates, invalid drops, retransmissions, stale
+re-describes and give-ups interleave with the kernel's forwarding.
 
 Run one backend by hand with::
 
@@ -43,6 +51,9 @@ from repro.network.backend import compiled_available
 
 #: Seeds per backend.  Each costs a few milliseconds per backend.
 SEEDS = 2000
+#: The robust-throughout seeds: ``ROBUST_BASE`` .. ``+ ROBUST_SEEDS``.
+ROBUST_BASE = 1_000_000
+ROBUST_SEEDS = 500
 
 _SRC = os.path.normpath(os.path.join(
     os.path.dirname(__file__), "..", "..", "src"))
@@ -51,6 +62,7 @@ _SRC = os.path.normpath(os.path.join(
 def _build(rng: random.Random, seed: int):
     """One seeded chain ``A -- box1 -- ... -- boxN -- B``."""
     from repro.core.flowlink import FlowLink
+    from repro.network.faults import plan_by_name
     from repro.network.latency import FixedLatency
     from repro.network.network import Network
     from repro.protocol.slot import RetransmitPolicy
@@ -58,13 +70,21 @@ def _build(rng: random.Random, seed: int):
     class SubFlowLink(FlowLink):
         """A subclass: the kernel's exact-type gate must miss it."""
 
-    net = Network(seed=seed)
+    if seed >= ROBUST_BASE:
+        plan = ("drop10+dup10", "drop20+dup20")[seed % 2]
+        net = Network(seed=seed, retransmit=RetransmitPolicy(),
+                      faults=plan_by_name(plan))
+    else:
+        net = Network(seed=seed)
     a = net.device("A", auto_accept=rng.random() < 0.5)
     b = net.device("B", auto_accept=rng.random() < 0.5)
     boxes = [net.box("box%d" % i) for i in range(rng.randint(1, 3))]
     hops = [a] + boxes + [b]
-    seam = rng.choice(("plain", "plain", "plain", "retransmit", "lenient",
-                       "subclass"))
+    if seed >= ROBUST_BASE:
+        seam = "robust:" + plan
+    else:
+        seam = rng.choice(("plain", "plain", "plain", "retransmit",
+                           "lenient", "subclass"))
     odd_hop = rng.randrange(len(hops) - 1)
     channels = []
     for i in range(len(hops) - 1):
@@ -182,7 +202,9 @@ def scenario(seed: int) -> List[Any]:
         _drive(rng, net, devices, ends)
     except Exception as exc:  # the same error must surface on both
         error = "%s: %s" % (type(exc).__name__, exc)
-    out: List[Any] = [seam, error, net.loop.executed, net.loop.now]
+    out: List[Any] = [seam, error, net.loop.executed, net.loop.now,
+                      hashlib.sha256(repr(net.loop.rng.getstate())
+                                     .encode()).hexdigest()]
     for name in sorted(net.agents):
         out.append((name, net.agents[name].goal_gen))
     for channel in net.channels:
@@ -224,14 +246,17 @@ def _run_child(backend: str, lo: int, hi: int) -> Dict[int, str]:
 @pytest.mark.skipif(not compiled_available(),
                     reason="compiled backend not built "
                            "(python tools/build_backend.py)")
-def test_flowlink_digests_identical_across_backends():
-    py = _run_child("python", 0, SEEDS)
-    cc = _run_child("compiled", 0, SEEDS)
-    diverged = [s for s in range(SEEDS) if py[s] != cc[s]]
+@pytest.mark.parametrize("lo,hi", [
+    (0, SEEDS), (ROBUST_BASE, ROBUST_BASE + ROBUST_SEEDS)],
+    ids=["mixed", "robust"])
+def test_flowlink_digests_identical_across_backends(lo, hi):
+    py = _run_child("python", lo, hi)
+    cc = _run_child("compiled", lo, hi)
+    diverged = [s for s in range(lo, hi) if py[s] != cc[s]]
     assert not diverged, (
         "%d of %d seeds diverge between backends, first %r; dump one "
         "with: REPRO_BACKEND=<backend> PYTHONPATH=src python %s %d %d "
-        "--dump" % (len(diverged), SEEDS, diverged[:10],
+        "--dump" % (len(diverged), hi - lo, diverged[:10],
                     os.path.relpath(__file__), diverged[0],
                     diverged[0] + 1))
 
@@ -247,6 +272,24 @@ def test_seams_are_planted():
             errors.add(out[1].split(":")[0])
     assert seams == {"plain", "retransmit", "lenient", "subclass"}
     assert {"ProtocolError", "PreconditionError"} <= errors
+
+
+def test_robust_seeds_see_loss():
+    """The robust-throughout seeds are not vacuous: both plans occur,
+    slots absorb duplicates, drop out-of-place signals, retransmit and
+    sometimes give up (backend-independent)."""
+    seams, totals = set(), [0, 0, 0, 0]
+    for seed in range(ROBUST_BASE, ROBUST_BASE + 100):
+        out = scenario(seed)
+        seams.add(out[0])
+        for item in out:
+            if isinstance(item, tuple) and len(item) == 16:
+                totals[0] += item[13]      # duplicate_drops
+                totals[1] += item[12]      # invalid_drops
+                totals[2] += item[14]      # retransmits
+                totals[3] += item[15]      # failures
+    assert seams == {"robust:drop10+dup10", "robust:drop20+dup20"}
+    assert all(totals), totals
 
 
 if __name__ == "__main__":

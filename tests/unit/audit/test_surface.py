@@ -34,8 +34,8 @@ def test_arena_caps_and_abi_match():
     assert c.constants["ENV_POOL_MAX"] == py.constants["ENV_POOL_MAX"]
     assert (c.constants["DELIVER_BATCH_MAX"]
             == py.constants["DELIVER_BATCH_MAX"])
-    assert c.constants["CCORE_ABI_VERSION"] == 3
-    assert py.abi_expected == frozenset({3})
+    assert c.constants["CCORE_ABI_VERSION"] == 4
+    assert py.abi_expected == frozenset({4})
 
 
 def test_interned_names_are_spelled_in_python():
@@ -44,6 +44,19 @@ def test_interned_names_are_spelled_in_python():
     assert c.interned  # the INTERN table was actually found
     missing = (set(c.interned) | set(c.attr_lookups)) - py.attribute_names
     assert not missing, missing
+
+
+def test_slot_fields_and_timer_methods_match_the_slot_class():
+    c = load_c_surface()
+    py = load_py_surface()
+    # The robust-slot surface of the FSM and flowlink kernels.
+    assert {"_retx_signal", "_stale_timer", "duplicate_drops",
+            "invalid_drops"} <= set(c.slot_fields)
+    assert set(c.slot_methods) == {"_arm_retx", "_arm_stale",
+                                   "_cancel_retx", "_cancel_stale",
+                                   "_cancel_busy"}
+    assert set(c.slot_fields) <= py.slot_members
+    assert set(c.slot_methods) <= py.slot_methods
 
 
 def test_module_lookups_resolve_structurally():

@@ -243,23 +243,26 @@ def test_fingerprints_identical_across_backends():
 
 
 # ---------------------------------------------------------------------------
-# slot FSM fast path: engagement on the clean configuration, fallback
-# (with byte-identical observables) on everything outside it
+# slot FSM fast path: engagement on the clean and the robust
+# configurations, fallback (with byte-identical observables) on
+# everything outside them
 # ---------------------------------------------------------------------------
 
 #: Relay scenario with counting wrappers over the reference dispatch
 #: table.  The compiled FSM kernels never consult ``_DISPATCH`` — they
 #: are a C switch — so the counter reads exactly the receives that took
-#: the Python path.
+#: the Python path; ``busy_dispatched`` counts the ``busy`` ones.
 _FALLBACK_CODE = """
 import hashlib, json
 import repro.protocol.slot as slotmod
+from repro.protocol.signals import Busy
 
-hits = {"dispatched": 0}
+hits = {"dispatched": 0, "busy_dispatched": 0}
 for _state, _fn in list(slotmod._DISPATCH.items()):
     def _wrap(fn):
         def counting(self, sig):
             hits["dispatched"] += 1
+            hits["busy_dispatched"] += type(sig) is Busy
             return fn(self, sig)
         return counting
     slotmod._DISPATCH[_state] = _wrap(_fn)
@@ -281,6 +284,8 @@ if scenario == "traced":
 elif scenario == "faulted":
     kwargs.update(retransmit=RetransmitPolicy(),
                   faults=plan_by_name("drop10+dup10"))
+elif scenario == "robust":
+    kwargs.update(retransmit=RetransmitPolicy())
 elif scenario == "busy-refused":
     kwargs.update(retransmit=RetransmitPolicy(
         initial=0.25, backoff=2.0, max_retries=3, stale_after=0.5))
@@ -310,13 +315,16 @@ for _ in range(3):
     a1.close(s1)
     net.settle()
 
-out = {
-    "dispatched": hits["dispatched"],
-    "executed": net.loop.executed,
-    "now": net.loop.now,
-    "received": s0.signals_received + s1.signals_received,
-    "busy_refusals": s1.busy_refusals,
-}
+out = dict(hits, executed=net.loop.executed, now=net.loop.now,
+           received=s0.signals_received + s1.signals_received,
+           all_received=sum(s.signals_received for ch in net.channels
+                            for e in ch.ends for s in e.slots.values()),
+           busy_refusals=s1.busy_refusals,
+           slots=[(s.state, s.signals_sent, s.duplicate_drops,
+                   s.invalid_drops, s.stale_drops, s.retransmits,
+                   s.failures)
+                  for ch in net.channels for e in ch.ends
+                  for s in e.slots.values()])
 if tracer is not None:
     out["trace_sha"] = hashlib.sha256(
         dumps_chrome(tracer, meta={}).encode()).hexdigest()
@@ -358,22 +366,57 @@ def test_clean_configuration_never_enters_python_dispatch():
 @pytest.mark.skipif(not compiled_available(),
                     reason="compiled backend not built "
                            "(python tools/build_backend.py)")
+def test_robust_loss_free_relay_never_enters_python_dispatch():
+    """The same control with a RetransmitPolicy on every slot and no
+    loss: retransmission and staleness timers are armed and cancelled
+    on every call, and still no receive takes the Python path."""
+    cc = _child_run(_FALLBACK_CODE, "robust", "compiled")
+    py = _child_run(_FALLBACK_CODE, "robust", "python")
+    assert cc.pop("dispatched") == 0, cc
+    assert py.pop("dispatched") > 0
+    assert cc == py
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
+def test_lossy_robust_slots_stay_in_c():
+    """Robust slots under drop10+dup10: duplicates, invalid drops,
+    retransmit acknowledgements and stale-timer cancels run in C.  What
+    still takes the Python path (a slot whose retry budget ran out,
+    until its next open) stays under 5 % of receives."""
+    cc = _child_run(_FALLBACK_CODE, "faulted", "compiled")
+    py = _child_run(_FALLBACK_CODE, "faulted", "python")
+    assert py.pop("dispatched") == py["all_received"] > 0
+    assert cc.pop("dispatched") <= 0.05 * cc["all_received"], cc
+    assert sum(s[2] for s in cc["slots"]) > 0    # duplicates absorbed
+    assert cc == py
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
 @pytest.mark.parametrize("scenario,extra_env", [
     ("traced", None),
-    ("faulted", None),
     ("busy-refused", None),
     ("poisoned", {"REPRO_ARENA_POISON": "1"}),
 ])
 def test_fallback_configurations_take_the_python_path(scenario, extra_env):
-    """Traced loops, robust (faulted / busy-retry) slots, and
-    arena-poisoned runs must route every receive through the reference
-    handlers — and produce byte-identical observables to the pure
-    Python backend doing the same."""
+    """Traced loops and arena-poisoned runs must route every receive
+    through the reference handlers, and admission refusals every
+    ``busy`` receive — and produce byte-identical observables to the
+    pure Python backend doing the same."""
     cc = _child_run(_FALLBACK_CODE, scenario, "compiled", extra_env)
     py = _child_run(_FALLBACK_CODE, scenario, "python", extra_env)
-    # Every receive outside the clean configuration falls back, so the
-    # Python dispatch table sees the same traffic under both backends.
-    assert cc.pop("dispatched") == py.pop("dispatched") > 0
+    if scenario == "busy-refused":
+        # The refusal machinery is Python on both backends; the robust
+        # slots' other receives run in C.
+        assert cc.pop("busy_dispatched") == py.pop("busy_dispatched") > 0
+        assert 0 < cc.pop("dispatched") < py.pop("dispatched")
+    else:
+        # Every receive falls back, so the Python dispatch table sees
+        # the same traffic under both backends.
+        assert cc.pop("dispatched") == py.pop("dispatched") > 0
     assert cc == py, (
         "fallback divergence on %s:\npython:   %r\ncompiled: %r"
         % (scenario, py, cc))
@@ -464,9 +507,10 @@ def test_faulted_survivors_reach_the_c_transmit_kernel():
 
 
 # ---------------------------------------------------------------------------
-# flowlink kernel: a clean relay box never enters Python; every other
-# configuration runs the reference goal_receive as often as the python
-# backend does, with byte-identical observables
+# flowlink kernel: a clean or robust relay box never enters Python, a
+# lossy one hardly; every other configuration runs the reference
+# goal_receive as often as the python backend does, with byte-identical
+# observables
 # ---------------------------------------------------------------------------
 
 #: Relay device-box-device with a counting wrapper over
@@ -513,6 +557,8 @@ elif config == "lossy_c":
     # retransmission policy, so robust slots.
     kwargs.update(retransmit=RetransmitPolicy(),
                   faults=plan_by_name("drop10+dup10"))
+elif config == "robust":
+    kwargs.update(retransmit=RetransmitPolicy())
 net = Network(**kwargs)
 a = net.device("A")
 b = net.device("B", auto_accept=True)
@@ -577,10 +623,42 @@ def test_clean_relay_box_never_enters_python():
 @pytest.mark.skipif(not compiled_available(),
                     reason="compiled backend not built "
                            "(python tools/build_backend.py)")
+def test_robust_relay_box_never_enters_goal_receive():
+    """The flowlink control with a RetransmitPolicy on every slot: the
+    box forwards in C and arms its timers through the reference
+    ``_arm_retx``/``_arm_stale`` -- no Python goal_receive."""
+    cc = _child_run(_FLOWLINK_CODE, "robust", "compiled")
+    py = _child_run(_FLOWLINK_CODE, "robust", "python")
+    assert cc.pop("goal_receive") == 0, cc
+    assert py.pop("goal_receive") == 6 * py["calls_made"]
+    cc.pop("core_frames")
+    py.pop("core_frames")
+    assert cc == py
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
+def test_lossy_relay_box_stays_in_c():
+    """The lossy_c relay: Python goal_receive calls stay under 5 % of
+    the box's receives (only a slot whose retry budget ran out falls
+    back), with byte-identical observables."""
+    cc = _child_run(_FLOWLINK_CODE, "lossy_c", "compiled")
+    py = _child_run(_FLOWLINK_CODE, "lossy_c", "python")
+    box_received = sum(s[2] for s in cc["slots"][1:3])
+    assert py.pop("goal_receive") > 0
+    assert cc.pop("goal_receive") <= 0.05 * box_received, cc
+    cc.pop("core_frames")
+    py.pop("core_frames")
+    assert cc == py
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
 @pytest.mark.parametrize("config,extra_env", [
     ("traced", None),
     ("poisoned", {"REPRO_ARENA_POISON": "1"}),
-    ("lossy_c", None),
     ("lenient", None),
     ("subclass", None),
 ])
