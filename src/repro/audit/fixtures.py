@@ -183,6 +183,19 @@ def _rc805_slot_field() -> Fixture:
         state="Slot.goal_gen")
 
 
+# -- fault kernel surface --------------------------------------------------
+
+def _rc805_fault_field() -> Fixture:
+    # A drop counted into the link's ``sent`` instead of the stats'
+    # ``dropped``: ``sent`` is interned and spelled in transport.py, so
+    # only the per-class check sees FaultStats has no such counter.
+    return Fixture(
+        name="audit-RC805-fault-field", code="RC805",
+        run=_doctored_c("stats_incr(stats, S.dropped)",
+                        "stats_incr(stats, S.sent)"),
+        state="FaultStats.sent")
+
+
 def _det_fixture(name: str, code: str, source: str,
                  state: str) -> Fixture:
     def run() -> List[Diagnostic]:
@@ -309,5 +322,6 @@ def all_audit_fixtures() -> List[Fixture]:
         _rc801, _rc802, _rc803, _rc804, _rc805,
         _rc803_batch, _rc804_poison, _rc804_state, _rc805_gen,
         _rc805_utd, _rc804_flowlink, _rc805_slot_method, _rc805_slot_field,
+        _rc805_fault_field,
         _rc810, _rc811, _rc812, _rc813, _rc814,
         _rc820, _rc821, _rc822, _rc823)]

@@ -150,6 +150,24 @@ def diff_surfaces(c: CSurface, py: PySurface) -> List[Diagnostic]:
                 "RC805",
                 "_ccore.c calls Slot.%s(), which class Slot does not "
                 "define" % name, state="Slot.%s" % name))
+    # The fault kernel reads FaultyLink's fields and calls its
+    # reference _hook, bumps FaultStats counters and reads FaultPlan
+    # rates; each name must be a member of that very class.
+    if not c.fault_fields:
+        found.append(_diag("RC805",
+                           "could not extract the fault kernel's "
+                           "faulty_get/stats_incr/plan_rate names from "
+                           "_ccore.c (refactored away from the audited "
+                           "idiom?)"))
+    for cls, names in sorted(c.fault_fields.items()):
+        members = py.fault_members.get(cls, frozenset())
+        for name in names:
+            if name not in members:
+                found.append(_diag(
+                    "RC805",
+                    "_ccore.c's fault kernel reads %s.%s, which class "
+                    "%s in faults.py does not define" % (cls, name, cls),
+                    state="%s.%s" % (cls, name)))
     return found
 
 

@@ -11,8 +11,10 @@ runtime core:
     comparator body, the ``INTERN(field, "text")`` list,
     ``PyImport_ImportModule`` / ``PyObject_GetAttrString`` lookups, the
     ``Slot`` fields ``resolve_slot_fields`` pins to ``__slots__``
-    offsets, and the reference ``Slot`` methods called through
-    ``slot_call``.
+    offsets, the reference ``Slot`` methods called through
+    ``slot_call``, and the fault kernel's ``FaultyLink``, ``FaultStats``
+    and ``FaultPlan`` names (read through ``faulty_get``/``faulty_flag``,
+    ``stats_incr`` and ``plan_rate``).
     The extension is hand-written in exactly these idioms, so pattern
     extraction is reliable; if a future refactor abandons one, the
     parity pass fails loudly (an empty surface diffs as massive drift)
@@ -21,12 +23,13 @@ runtime core:
 :func:`extract_py_surface`
     :mod:`ast`-based extraction from the Python reference modules
     (``eventloop``, ``transport``, ``node``, ``backend``, ``channel``,
-    ``slot``, ``signals``, the goal machinery and ``flowlink``, and
-    ``descriptor``): which ``_CORE.*`` kernels are consumed,
-    the comparator field order of ``Event.__lt__`` and ``_earlier``,
-    the arena cap constants, the expected ABI version, the universe of
-    attribute names the modules define or touch, and ``Slot``'s
-    ``__slots__`` members and methods.
+    ``slot``, ``signals``, the goal machinery and ``flowlink``,
+    ``descriptor``, and ``faults``): which ``_CORE.*`` kernels are
+    consumed, the comparator field order of ``Event.__lt__`` and
+    ``_earlier``, the arena cap constants, the expected ABI version, the
+    universe of attribute names the modules define or touch, ``Slot``'s
+    ``__slots__`` members and methods, and the members of the three
+    fault-layer classes.
 
 Both extractors accept source text, so the fixture negative controls
 can feed doctored sources through the very same code paths the real
@@ -79,7 +82,13 @@ REFERENCE_MODULES: Tuple[str, ...] = (
     "core/flowlink.py",
     "core/goals.py",
     "protocol/descriptor.py",
+    # The fault kernel: FaultyLink's fields and reference _hook, the
+    # FaultStats counters and the FaultPlan rates.
+    "network/faults.py",
 )
+
+#: The fault-layer classes whose members the fault kernel reads.
+FAULT_CLASSES: Tuple[str, ...] = ("FaultyLink", "FaultStats", "FaultPlan")
 
 
 def reference_module_paths(root: Optional[str] = None) -> List[str]:
@@ -118,6 +127,9 @@ class CSurface:
     #: Reference ``Slot`` methods the kernels call (``slot_call``): the
     #: robust-mode timer arming and cancelling.
     slot_methods: Tuple[str, ...] = ()
+    #: Names the fault kernel reads, keyed by fault-layer class
+    #: (``FaultyLink``, ``FaultStats``, ``FaultPlan``).
+    fault_fields: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
 
 _EXPORT_RE = re.compile(r'PyModule_AddObject\(mod,\s*"(\w+)"')
@@ -135,6 +147,13 @@ _SLOT_FIELDS_RE = re.compile(
     r'\{(.*?)\};', re.S)
 _S_FIELD_RE = re.compile(r'\bS\.(\w+)')
 _SLOT_CALL_RE = re.compile(r'\bslot_call\(\s*[^,()]+,\s*S\.(\w+)')
+#: The fault kernel's audited accessors, by the class they read.
+_FAULT_ACCESSOR_RES = (
+    ("FaultyLink",
+     re.compile(r'\bfaulty_(?:get|flag)\(\s*[^,()]+,\s*S\.(\w+)')),
+    ("FaultStats", re.compile(r'\bstats_incr\(\s*[^,()]+,\s*S\.(\w+)')),
+    ("FaultPlan", re.compile(r'\bplan_rate\(\s*[^,()]+,\s*S\.(\w+)')),
+)
 _IMPORT_OR_GETATTR_RE = re.compile(
     r'PyImport_ImportModule\("([^"]+)"\)'
     r'|PyObject_GetAttrString\((\w+),\s*"([^"]+)"\)')
@@ -169,6 +188,10 @@ def extract_c_surface(text: str) -> CSurface:
         for f in _S_FIELD_RE.findall(table.group(1) if table else ""))
     slot_methods = tuple(dict.fromkeys(
         spelled.get(f, f) for f in _SLOT_CALL_RE.findall(text)))
+    fault_fields = {
+        cls: tuple(dict.fromkeys(spelled.get(f, f)
+                                 for f in regex.findall(text)))
+        for cls, regex in _FAULT_ACCESSOR_RES}
 
     module_lookups: List[Tuple[str, str]] = []
     attr_lookups: List[str] = []
@@ -187,7 +210,9 @@ def extract_c_surface(text: str) -> CSurface:
                     module_lookups=tuple(module_lookups),
                     attr_lookups=tuple(attr_lookups),
                     slot_fields=slot_fields,
-                    slot_methods=slot_methods)
+                    slot_methods=slot_methods,
+                    fault_fields={c: f for c, f in fault_fields.items()
+                                  if f})
 
 
 # ----------------------------------------------------------------------
@@ -218,6 +243,9 @@ class PySurface:
     slot_members: FrozenSet[str] = frozenset()
     #: The methods ``class Slot`` defines.
     slot_methods: FrozenSet[str] = frozenset()
+    #: Members of the fault-layer classes in ``faults.py``: methods,
+    #: class-body fields, and ``self.<name>`` assignments.
+    fault_members: Dict[str, FrozenSet[str]] = field(default_factory=dict)
 
 
 #: Python constant name (module basename, variable) → C ``#define``.
@@ -241,6 +269,29 @@ def _comparator_fields(fn: ast.FunctionDef) -> Tuple[str, ...]:
     return tuple(order)
 
 
+def _class_members(cls: ast.ClassDef) -> FrozenSet[str]:
+    """Methods, class-body (dataclass) fields, and attributes assigned
+    on ``self`` anywhere in the class."""
+    members = set()
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            members.add(item.name)
+        elif (isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)):
+            members.add(item.target.id)
+    for node in ast.walk(cls):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target]
+                   if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                   else [])
+        for tg in targets:
+            if (isinstance(tg, ast.Attribute)
+                    and isinstance(tg.value, ast.Name)
+                    and tg.value.id == "self"):
+                members.add(tg.attr)
+    return frozenset(members)
+
+
 def extract_py_surface(sources: Dict[str, str]) -> PySurface:
     """Extract the Python reference surface from ``sources``, a map of
     file basename (or path) → source text."""
@@ -252,6 +303,7 @@ def extract_py_surface(sources: Dict[str, str]) -> PySurface:
     problems: List[str] = []
     slot_members: set = set()
     slot_methods: set = set()
+    fault_members: Dict[str, FrozenSet[str]] = {}
 
     for path, text in sorted(sources.items()):
         base = os.path.basename(path)
@@ -302,6 +354,12 @@ def extract_py_surface(sources: Dict[str, str]) -> PySurface:
                                 elt.value for elt in item.value.elts
                                 if isinstance(elt, ast.Constant))
 
+        if base == "faults.py":
+            for node in tree.body:
+                if (isinstance(node, ast.ClassDef)
+                        and node.name in FAULT_CLASSES):
+                    fault_members[node.name] = _class_members(node)
+
         # Comparators: Event.__lt__ and the module-level _earlier.
         if base == "eventloop.py":
             for node in ast.walk(tree):
@@ -340,7 +398,8 @@ def extract_py_surface(sources: Dict[str, str]) -> PySurface:
                      attribute_names=frozenset(names),
                      problems=tuple(problems),
                      slot_members=frozenset(slot_members),
-                     slot_methods=frozenset(slot_methods))
+                     slot_methods=frozenset(slot_methods),
+                     fault_members=fault_members)
 
 
 def load_c_surface(root: Optional[str] = None) -> CSurface:

@@ -18,6 +18,10 @@
  *   LinkTransmit   C twin of Link._base_transmit (installed as the
  *                  chain bottom), including the per-link Event
  *                  freelist and ready-lane routing.
+ *   SlotTransmit   C twin of Slot._transmit (envelope pool, chain).
+ *   FaultHook      C twin of FaultyLink._hook for drop/duplicate
+ *                  plans; SlotTransmit fuses it, deciding in C and
+ *                  building an envelope only for surviving copies.
  *   Deliver        C twin of LinkEnd._deliver, used as the delivery
  *                  event callback so drain can dispatch it without a
  *                  Python frame.
@@ -48,7 +52,7 @@
 #include <Python.h>
 #include <structmember.h>
 
-#define CCORE_ABI_VERSION 4
+#define CCORE_ABI_VERSION 5
 
 /* Caps mirrored from the Python side (transport._FREELIST_MAX,
  * channel._ENV_POOL_MAX, and eventloop._DELIVER_BATCH_MAX). */
@@ -88,6 +92,10 @@ static struct {
     /* robust slots: the reference timer methods and the drop counters */
     PyObject *_arm_retx, *_arm_stale, *_cancel_stale, *_cancel_busy;
     PyObject *_retx_signal, *duplicate_drops, *invalid_drops;
+    /* the fault hook: FaultyLink, FaultStats and FaultPlan fields */
+    PyObject *_base_transmit, *random, *link, *plan, *stats, *exempt;
+    PyObject *_outage, *_hook, *forwarded, *dropped, *duplicated;
+    PyObject *exempted, *drop, *duplicate, *jitter, *reorder;
 } S;
 
 static PyObject *g_empty_tuple;
@@ -3014,14 +3022,300 @@ typedef struct {
 
 static PyTypeObject SlotTransmitType;
 
-/* Mirror of Slot._transmit: counter bump, dead-end drop, and either
- * the hooked path (fresh, never-pooled envelope through the generic
- * chain) or the pooled fast path straight into the C link transmit. */
+/* The envelope for one slot send: drawn from the loop's pool when
+ * exactly one delivery is proven (`pooled`), fresh and never pooled
+ * otherwise. */
+static PyObject *
+slot_envelope(SlotTransmitObj *st, PyObject *sig, int pooled)
+{
+    PyObject *msg;
+    Py_ssize_t pn = PyList_GET_SIZE(st->env_pool);
+    if (!pooled)
+        return PyObject_CallFunctionObjArgs(g_tunnelmsg_type, st->tunnel_id,
+                                            sig, NULL);
+    if (pn == 0)
+        return PyObject_CallFunctionObjArgs(g_tunnelmsg_type, st->tunnel_id,
+                                            sig, Py_True, NULL);
+    msg = PyList_GET_ITEM(st->env_pool, pn - 1);
+    Py_INCREF(msg);
+    if (PyList_SetSlice(st->env_pool, pn - 1, pn, NULL) < 0 ||
+        PyObject_SetAttr(msg, S.tunnel_id, st->tunnel_id) < 0 ||
+        PyObject_SetAttr(msg, S.signal, sig) < 0) {
+        Py_DECREF(msg);
+        return NULL;
+    }
+    return msg;
+}
+
+/* ------------------------------------------------------------------ */
+/* FaultHook                                                           */
+/* ------------------------------------------------------------------ */
+
+/* C twin of FaultyLink._hook for the plans it decides alone: drop and
+ * duplicate, no jitter, no reorder, and an exemption that is a class
+ * (or tuple of classes) or none.  It sits in link._hooks in place of
+ * the bound _hook and is called like it, (origin, message, forward);
+ * a traced loop hands the message to the reference _hook, which emits
+ * the FaultInjected events.  SlotTransmit fuses it: when it is the
+ * link's only hook over the C LinkTransmit, a slot send decides in C
+ * and builds its envelope only for the copies that survive. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *faulty;            /* the FaultyLink */
+    PyObject *link;              /* faulty.link */
+    PyObject *loop;              /* link.loop */
+    PyObject *exempt;            /* faulty.exempt (class/tuple) or NULL */
+    double drop, duplicate;      /* faulty.plan's rates (frozen plan) */
+} FaultHookObj;
+
+static PyTypeObject FaultHookType;
+
+/* The audited accessors: RC805 checks each name against the class in
+ * faults.py (FaultyLink fields and methods, FaultStats counters,
+ * FaultPlan rates). */
+#define faulty_get(faulty, name) PyObject_GetAttr((faulty), (name))
+#define faulty_flag(faulty, name) get_attr_bool((faulty), (name))
+#define stats_incr(stats, name) attr_add_ll((stats), (name), 1, NULL)
+#define plan_rate(plan, name, out) get_attr_double((plan), (name), (out))
+
+/* `rng.random() < p`, drawn only when p is non-zero: the draws and
+ * their order are the contract with the reference. */
+static int
+fault_draw(PyObject *rng, double p)
+{
+    PyObject *v;
+    double r;
+    if (p == 0.0)
+        return 0;
+    if ((v = PyObject_CallMethodNoArgs(rng, S.random)) == NULL)
+        return -1;
+    r = PyFloat_AsDouble(v);
+    Py_DECREF(v);
+    if (r == -1.0 && PyErr_Occurred())
+        return -1;
+    return r < p;
+}
+
+/* Forward one surviving copy.  On the fused path (*msg NULL) the
+ * envelope is built on first use: pooled when the decision proved a
+ * single delivery, fresh when it may carry two copies. */
+static int
+fault_emit(PyObject *forward, PyObject *origin, PyObject **msg,
+           SlotTransmitObj *st, PyObject *sig, int single)
+{
+    PyObject *res;
+    if (*msg == NULL && (*msg = slot_envelope(st, sig, single)) == NULL)
+        return -1;
+    if (Py_TYPE(forward) == &LinkTransmitType)
+        return transmit_impl((TransmitObj *)forward, origin, *msg);
+    res = PyObject_CallFunctionObjArgs(forward, origin, *msg, NULL);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
+}
+
+/* FaultyLink._hook's decision, untraced: outage and teardown, the
+ * exemption, the dup draw and one drop draw per copy from loop.rng
+ * (each copy forwarded before the next draw: a sampled latency draws
+ * from the same rng), the FaultStats counts through faulty.stats
+ * (shared across links), and the link.sent pin (one per offer). */
+static int
+fault_run(FaultHookObj *h, PyObject *origin, PyObject **msg,
+          PyObject *forward, SlotTransmitObj *st, PyObject *sig)
+{
+    PyObject *stats, *rng = NULL, *v;
+    long long offered;
+    int flag, copies = 1, k, rc = -1;
+
+    if ((flag = get_attr_bool(h->link, S.down)) != 0 ||
+        (flag = faulty_flag(h->faulty, S._outage)) != 0)
+        return flag < 0 ? -1 : 0;
+    if ((stats = faulty_get(h->faulty, S.stats)) == NULL)
+        return -1;
+    if (h->exempt != NULL) {
+        /* the fused path's envelope is an exact TunnelMessage */
+        flag = *msg != NULL ? PyObject_IsInstance(*msg, h->exempt)
+                            : PyObject_IsSubclass(g_tunnelmsg_type,
+                                                  h->exempt);
+        if (flag != 0) {
+            if (flag > 0 && stats_incr(stats, S.exempted) == 0)
+                rc = fault_emit(forward, origin, msg, st, sig, 1);
+            goto done;
+        }
+    }
+    if ((rng = PyObject_GetAttr(h->loop, S.rng)) == NULL ||
+        get_attr_ll(h->link, S.sent, &offered) < 0 ||
+        (flag = fault_draw(rng, h->duplicate)) < 0)
+        goto done;
+    if (flag) {
+        copies = 2;
+        if (stats_incr(stats, S.duplicated) < 0)
+            goto done;
+    }
+    for (k = 0; k < copies; k++) {
+        if ((flag = fault_draw(rng, h->drop)) < 0)
+            goto done;
+        if (flag ? stats_incr(stats, S.dropped) < 0
+                 : (stats_incr(stats, S.forwarded) < 0 ||
+                    fault_emit(forward, origin, msg, st, sig,
+                               copies == 1) < 0))
+            goto done;
+    }
+    if ((v = PyLong_FromLongLong(offered + 1)) != NULL) {
+        rc = PyObject_SetAttr(h->link, S.sent, v);
+        Py_DECREF(v);
+    }
+done:
+    Py_XDECREF(rng);
+    Py_DECREF(stats);
+    return rc;
+}
+
+/* loop.trace is not None; read per message, a tracer may come and go */
+static int
+fault_traced(FaultHookObj *h)
+{
+    PyObject *trace = PyObject_GetAttr(h->loop, S.trace);
+    int traced = trace == NULL ? -1 : trace != Py_None;
+    Py_XDECREF(trace);
+    return traced;
+}
+
+/* SlotTransmit's fused path: 1 when the hook decided and sent, 0 to
+ * decline (traced loop, or a forward other than the C LinkTransmit --
+ * backpressure, a replaced _base_transmit), -1 on error. */
+static int
+fault_fused(FaultHookObj *h, SlotTransmitObj *st, PyObject *sig)
+{
+    PyObject *base, *msg = NULL;
+    int rc = fault_traced(h);
+
+    if (rc != 0)
+        return rc < 0 ? -1 : 0;
+    if ((base = PyObject_GetAttr(h->link, S._base_transmit)) == NULL)
+        return -1;
+    if (Py_TYPE(base) == &LinkTransmitType) {
+        Py_INCREF(h);
+        rc = fault_run(h, st->wire, &msg, base, st, sig) < 0 ? -1 : 1;
+        Py_DECREF(h);
+        Py_XDECREF(msg);
+    }
+    Py_DECREF(base);
+    return rc;
+}
+
+static PyObject *
+fault_hook_call(FaultHookObj *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *origin, *msg, *forward, *hook;
+    int rc;
+    if (!PyArg_ParseTuple(args, "OOO", &origin, &msg, &forward) ||
+        (rc = fault_traced(self)) < 0)
+        return NULL;
+    if (rc) {
+        if ((hook = faulty_get(self->faulty, S._hook)) == NULL)
+            return NULL;
+        Py_SETREF(hook, PyObject_CallFunctionObjArgs(hook, origin, msg,
+                                                     forward, NULL));
+        return hook;
+    }
+    Py_INCREF(msg);
+    rc = fault_run(self, origin, &msg, forward, NULL, NULL);
+    Py_DECREF(msg);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static int
+fault_hook_init(FaultHookObj *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *faulty, *plan;
+    double jitter = 0.0, reorder = 0.0;
+    int st;
+    if (!PyArg_ParseTuple(args, "O", &faulty))
+        return -1;
+    Py_INCREF(faulty);
+    Py_XSETREF(self->faulty, faulty);
+    Py_XSETREF(self->link, faulty_get(faulty, S.link));
+    if (self->link == NULL)
+        return -1;
+    Py_XSETREF(self->loop, PyObject_GetAttr(self->link, S.loop));
+    if (self->loop == NULL || (plan = faulty_get(faulty, S.plan)) == NULL)
+        return -1;
+    st = plan_rate(plan, S.drop, &self->drop) < 0 ||
+         plan_rate(plan, S.duplicate, &self->duplicate) < 0 ||
+         plan_rate(plan, S.jitter, &jitter) < 0 ||
+         plan_rate(plan, S.reorder, &reorder) < 0;
+    Py_DECREF(plan);
+    Py_XSETREF(self->exempt, faulty_get(faulty, S.exempt));
+    if (st || self->exempt == NULL)
+        return -1;
+    if (self->exempt == Py_None)
+        Py_CLEAR(self->exempt);
+    if (jitter != 0.0 || reorder != 0.0 || (self->exempt != NULL &&
+        !PyType_Check(self->exempt) && !PyTuple_Check(self->exempt))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "FaultHook decides drop/duplicate plans with a "
+                        "class exemption only");
+        return -1;
+    }
+    return 0;
+}
+
+static int
+fault_hook_traverse(FaultHookObj *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->faulty);
+    Py_VISIT(self->link);
+    Py_VISIT(self->loop);
+    Py_VISIT(self->exempt);
+    return 0;
+}
+
+static int
+fault_hook_clear(FaultHookObj *self)
+{
+    Py_CLEAR(self->faulty);
+    Py_CLEAR(self->link);
+    Py_CLEAR(self->loop);
+    Py_CLEAR(self->exempt);
+    return 0;
+}
+
+static void
+fault_hook_dealloc(FaultHookObj *self)
+{
+    PyObject_GC_UnTrack(self);
+    fault_hook_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyTypeObject FaultHookType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.network._ccore.FaultHook",
+    .tp_basicsize = sizeof(FaultHookObj),
+    .tp_dealloc = (destructor)fault_hook_dealloc,
+    .tp_call = (ternaryfunc)fault_hook_call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Compiled FaultyLink._hook twin (drop/duplicate plans).",
+    .tp_traverse = (traverseproc)fault_hook_traverse,
+    .tp_clear = (inquiry)fault_hook_clear,
+    .tp_init = (initproc)fault_hook_init,
+    .tp_new = PyType_GenericNew,
+};
+
+/* ------------------------------------------------------------------ */
+/* SlotTransmit kernel                                                 */
+/* ------------------------------------------------------------------ */
+
+/* Mirror of Slot._transmit: counter bump, dead-end drop, then one of
+ * three paths: the fused fault decision (above), the hooked path
+ * (fresh, never-pooled envelope through the generic chain), or the
+ * pooled fast path straight into the C link transmit. */
 static int
 slot_transmit_impl(SlotTransmitObj *st, PyObject *sig)
 {
     PyObject *msg, *chain, *res;
-    Py_ssize_t pn;
     int alive, hooked;
 
     if (((PyObject *)Py_TYPE(st->slot) == g_slot_type
@@ -3034,37 +3328,18 @@ slot_transmit_impl(SlotTransmitObj *st, PyObject *sig)
     if (!alive)
         return 0;
     hooked = PyList_GET_SIZE(st->hooks) != 0;
-    if (hooked) {
-        /* A hooked link (fault layer, tracer tap) may duplicate the
-         * envelope or deliver it late; never pool those. */
-        msg = PyObject_CallFunctionObjArgs(g_tunnelmsg_type, st->tunnel_id,
-                                           sig, NULL);
-        if (msg == NULL)
-            return -1;
+    if (hooked && PyList_GET_SIZE(st->hooks) == 1 &&
+        Py_TYPE(PyList_GET_ITEM(st->hooks, 0)) == &FaultHookType) {
+        int fused = fault_fused(
+            (FaultHookObj *)PyList_GET_ITEM(st->hooks, 0), st, sig);
+        if (fused != 0)
+            return fused < 0 ? -1 : 0;
     }
-    else {
-        pn = PyList_GET_SIZE(st->env_pool);
-        if (pn > 0) {
-            msg = PyList_GET_ITEM(st->env_pool, pn - 1);
-            Py_INCREF(msg);
-            if (PyList_SetSlice(st->env_pool, pn - 1, pn, NULL) < 0) {
-                Py_DECREF(msg);
-                return -1;
-            }
-            if (PyObject_SetAttr(msg, S.tunnel_id, st->tunnel_id) < 0 ||
-                PyObject_SetAttr(msg, S.signal, sig) < 0) {
-                Py_DECREF(msg);
-                return -1;
-            }
-        }
-        else {
-            msg = PyObject_CallFunctionObjArgs(g_tunnelmsg_type,
-                                               st->tunnel_id, sig,
-                                               Py_True, NULL);
-            if (msg == NULL)
-                return -1;
-        }
-    }
+    /* A hooked link (fault layer, tracer tap) may duplicate the
+     * envelope or deliver it late; never pool those. */
+    msg = slot_envelope(st, sig, !hooked);
+    if (msg == NULL)
+        return -1;
     chain = PyObject_GetAttr(st->wire, S._chain);
     if (chain == NULL) {
         Py_DECREF(msg);
@@ -3664,6 +3939,22 @@ intern_all(void)
     INTERN(_retx_signal, "_retx_signal");
     INTERN(duplicate_drops, "duplicate_drops");
     INTERN(invalid_drops, "invalid_drops");
+    INTERN(_base_transmit, "_base_transmit");
+    INTERN(random, "random");
+    INTERN(link, "link");
+    INTERN(plan, "plan");
+    INTERN(stats, "stats");
+    INTERN(exempt, "exempt");
+    INTERN(_outage, "_outage");
+    INTERN(_hook, "_hook");
+    INTERN(forwarded, "forwarded");
+    INTERN(dropped, "dropped");
+    INTERN(duplicated, "duplicated");
+    INTERN(exempted, "exempted");
+    INTERN(drop, "drop");
+    INTERN(duplicate, "duplicate");
+    INTERN(jitter, "jitter");
+    INTERN(reorder, "reorder");
 #undef INTERN
     return 0;
 }
@@ -3683,7 +3974,8 @@ PyInit__ccore(void)
         PyType_Ready(&FinishType) < 0 ||
         PyType_Ready(&ProcessType) < 0 ||
         PyType_Ready(&LinkTransmitType) < 0 ||
-        PyType_Ready(&SlotTransmitType) < 0)
+        PyType_Ready(&SlotTransmitType) < 0 ||
+        PyType_Ready(&FaultHookType) < 0)
         return NULL;
     mod = PyModule_Create(&ccore_module);
     if (mod == NULL)
@@ -3712,6 +4004,9 @@ PyInit__ccore(void)
     Py_INCREF(&SlotTransmitType);
     if (PyModule_AddObject(mod, "SlotTransmit",
                            (PyObject *)&SlotTransmitType) < 0)
+        goto fail;
+    Py_INCREF(&FaultHookType);
+    if (PyModule_AddObject(mod, "FaultHook", (PyObject *)&FaultHookType) < 0)
         goto fail;
     return mod;
 fail:

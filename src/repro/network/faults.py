@@ -17,18 +17,23 @@ as a fault-free run: one seed, one trace.
 Layering note: this module knows nothing about the signaling protocol.
 Callers that want faults confined to the tunnel-signal plane (the media
 control protocol proper, which carries the retransmission machinery)
-pass an ``exempt`` predicate — the Network facade exempts meta-signal
-envelopes, which model the out-of-band channel operations the paper
-keeps on reliable transport.
+pass an ``exempt`` class — the Network facade exempts
+:class:`~repro.protocol.signals.MetaMessage` envelopes, which model the
+out-of-band channel operations the paper keeps on reliable transport.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple, Type, Union
 
 from ..obs.events import FaultInjected
-from .transport import Link, LinkEnd, TransmitFn
+from .backend import CORE as _CORE
+from .transport import Link, LinkEnd, TransmitFn, TransmitHook
+
+#: A fault exemption: a class or tuple of classes (an ``isinstance``
+#: test), or a predicate over the message.
+Exempt = Union[Type[Any], Tuple[Type[Any], ...], Callable[[Any], bool]]
 
 __all__ = ["FaultPlan", "FaultStats", "FaultyLink", "CrashSchedule",
            "PLANS", "plan_by_name", "scaled_plan"]
@@ -112,10 +117,22 @@ class FaultyLink:
     exist once.  Only what the faithful transmit cannot express (extra
     jitter, skipping the FIFO clamp) goes through ``Link._schedule``
     instead.
+
+    ``exempt`` messages pass untouched (forwarded once, counted in
+    ``stats.exempted``, no random draw).  It is a class or a tuple of
+    classes, tested with ``isinstance``, or a predicate over the
+    message.
+
+    Under the compiled backend, an exact ``FaultyLink`` whose plan has
+    no jitter and no reorder, and whose exemption is a class (or none),
+    installs the C twin of :meth:`_hook` instead (``FaultHook``); the
+    slot send kernel then decides in C.  A traced loop, a subclass, a
+    predicate exemption and the jitter/reorder plans keep ``_hook``,
+    which stays the specification.
     """
 
     def __init__(self, link: Link, plan: FaultPlan,
-                 exempt: Optional[Callable[[Any], bool]] = None,
+                 exempt: Optional[Exempt] = None,
                  stats: Optional[FaultStats] = None):
         self.link = link
         self.plan = plan
@@ -124,13 +141,19 @@ class FaultyLink:
         #: Inside a flap window.  Kept here rather than in ``link.down``
         #: so an outage can never undo a real teardown.
         self._outage = False
-        link.add_transmit_hook(self._hook, innermost=True)
+        #: The hook installed on the link, for :meth:`uninstall`.
+        self._installed: TransmitHook = self._hook
+        if (_CORE is not None and type(self) is FaultyLink
+                and not plan.jitter and not plan.reorder
+                and (exempt is None or isinstance(exempt, (type, tuple)))):
+            self._installed = _CORE.FaultHook(self)
+        link.add_transmit_hook(self._installed, innermost=True)
         for at, duration in plan.flaps:
             link.loop.schedule_at(at, self._flap_down, duration)
 
     def uninstall(self) -> None:
         """Remove the plan from the link's transmit chain."""
-        self.link.remove_transmit_hook(self._hook)
+        self.link.remove_transmit_hook(self._installed)
 
     # -- the faulty transmit ----------------------------------------------
     def _hook(self, origin: LinkEnd, message: Any,
@@ -139,7 +162,10 @@ class FaultyLink:
         if link.down or self._outage:
             return
         stats = self.stats
-        if self.exempt is not None and self.exempt(message):
+        exempt = self.exempt
+        if exempt is not None and (isinstance(message, exempt)
+                                   if isinstance(exempt, (type, tuple))
+                                   else exempt(message)):
             stats.exempted += 1
             forward(origin, message)
             return

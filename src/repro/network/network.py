@@ -28,15 +28,6 @@ from .router import Router
 __all__ = ["Network"]
 
 
-def _is_meta(message) -> bool:
-    """Fault-exemption predicate: meta-signal envelopes model the
-    out-of-band channel operations (setup/teardown/availability) the
-    paper keeps on reliable transport; fault plans target the tunnel
-    signal plane, whose idempotent retransmission is the claim under
-    test."""
-    return isinstance(message, MetaMessage)
-
-
 class Network:
     """Container for one simulated deployment."""
 
@@ -135,8 +126,13 @@ class Network:
         if self.backpressure is not None:
             channel.link.set_backpressure(self.backpressure)
         if self.faults is not None:
+            # Meta-signal envelopes model the out-of-band channel
+            # operations (setup/teardown/availability) the paper keeps
+            # on reliable transport; fault plans target the tunnel
+            # signal plane, whose idempotent retransmission is the
+            # claim under test.
             self._faulty_links.append(FaultyLink(
-                channel.link, self.faults, exempt=_is_meta,
+                channel.link, self.faults, exempt=MetaMessage,
                 stats=self.fault_stats))
         return channel
 

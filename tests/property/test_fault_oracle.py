@@ -8,10 +8,18 @@ case must agree with it on the delivery sequence (time, order, message
 identity, interleaving with unrelated events), ``FaultStats``,
 ``Link.sent``, the trace events emitted, and the loop's RNG state.
 
+Two families of cases.  The raw cases send arbitrary objects through
+``LinkEnd.send``; under the compiled backend the C ``FaultHook`` decides
+them through its generic call.  The slot cases drive a robust
+device--box--device relay, so every tunnel signal leaves through the
+slot send kernel, which under the compiled backend fuses the fault
+decision (``SpecFaultyLink`` is the same layer forced onto the Python
+``_hook``, for the one case the parent-commit reference cannot model).
+
 The suite runs under one backend per process (``REPRO_BACKEND`` is read
 at import; CI runs it under both); ``test_digest_identical_across_
 backends`` additionally pins the new layer's digest equal across the
-two.
+two, over both families.
 """
 
 from __future__ import annotations
@@ -55,9 +63,10 @@ def _reference_schedule(link, origin, message, delay, fifo=True):
 
 
 class ReferenceFaultyLink(FaultyLink):
-    """The parent commit's hook.  Two edits only: an outage is read
-    from ``_outage`` (the flap fix moved it out of ``link.down``), and
-    ``link._schedule`` is the reference copy above."""
+    """The parent commit's hook.  Three edits only: an outage is read
+    from ``_outage`` (the flap fix moved it out of ``link.down``),
+    ``link._schedule`` is the reference copy above, and a class (or
+    tuple) exemption is an ``isinstance`` test."""
 
     def _hook(self, origin, message, forward):
         if self._outage:
@@ -65,7 +74,10 @@ class ReferenceFaultyLink(FaultyLink):
         link = self.link
         if link.down:
             return
-        if self.exempt is not None and self.exempt(message):
+        exempt = self.exempt
+        if exempt is not None and (isinstance(message, exempt)
+                                   if isinstance(exempt, (type, tuple))
+                                   else exempt(message)):
             self.stats.exempted += 1
             forward(origin, message)
             return
@@ -103,6 +115,11 @@ class ReferenceFaultyLink(FaultyLink):
                                           detail=str(message)))
             _reference_schedule(link, origin, message, delay, fifo=fifo)
             self.stats.forwarded += 1
+
+
+class SpecFaultyLink(FaultyLink):
+    """The shipped layer, kept on its Python ``_hook`` (a subclass
+    never gets the C hook)."""
 
 
 class Msg:
@@ -217,11 +234,160 @@ def test_new_layer_matches_reference(plan_name):
     assert acted > 0  # the adversary really did something
 
 
+# ----------------------------------------------------------------------
+# slot cases: real slots, so the slot send kernel fuses the decision
+# ----------------------------------------------------------------------
+
+#: ``variant -> (plan, stats shared by both links)``.
+SLOT_VARIANTS = {
+    "plain": ("drop10+dup10", False),
+    # loop.trace set and cleared mid-run, and a tracer tap hooked on
+    # and off the outgoing channel: the fused path must decline and
+    # the reference hook emit FaultInjected while either is present.
+    "tracer": ("drop10+dup10", False),
+    "flaky": ("flaky", False),
+    "teardown": ("drop10+dup10", False),
+    "shared-stats": ("drop20+dup20", True),
+    # Both links bounded at one in flight, so transmits defer: the
+    # decision stays in C, the forward is the Python bounded transmit.
+    "backpressure": ("drop10+dup10", False),
+    "predicate": ("drop20+dup20", False),
+    "meta": ("drop20+dup20", True),
+}
+
+SLOT_LATENCIES = {
+    "fixed": lambda: FixedLatency(0.02),
+    # Sampled latency draws from loop.rng inside each forward, between
+    # the drop draws of a duplicated message's two copies.
+    "sampled": lambda: UniformLatency(0.0, 0.04),
+}
+
+SLOT_CASES = [(v, l, s) for v in SLOT_VARIANTS for l in SLOT_LATENCIES
+              for s in range(3)]
+
+#: Calls per slot case; the relay runs on a clock (``net.run``), not to
+#: quiescence, so the flaky plan's flaps at 1.0 s and 4.0 s land
+#: mid-run.
+SLOT_CALLS = 30
+
+
+def run_slot_case(layer, variant, latency_name, seed):
+    """One seeded robust relay under ``layer``; returns every
+    observable."""
+    from repro.media.device import UserDevice
+    from repro.network.faults import FaultStats, plan_by_name
+    from repro.network.network import Network
+    from repro.protocol.codecs import AUDIO
+    from repro.protocol.signals import AppMeta, MetaMessage
+    from repro.protocol.slot import RetransmitPolicy
+
+    plan_name, shared = SLOT_VARIANTS[variant]
+    log = []
+
+    class LoggingDevice(UserDevice):
+        def on_tunnel_signal(self, slot, signal):
+            log.append((net.loop.now, self.name, slot.name, str(signal)))
+            super().on_tunnel_signal(slot, signal)
+
+    net = Network(seed=seed, retransmit=RetransmitPolicy(),
+                  latency=SLOT_LATENCIES[latency_name]())
+    loop = net.loop
+    a = net.device("A", cls=LoggingDevice)
+    b = net.device("B", cls=LoggingDevice, auto_accept=True)
+    box = net.box("srv")
+    ch_a = net.channel(a, box)
+    ch_b = net.channel(box, b)
+    box.flow_link(ch_a.end_for(box).slot(), ch_b.end_for(box).slot())
+    exempt = ((lambda m: isinstance(m, MetaMessage))
+              if variant == "predicate" else MetaMessage)
+    one = FaultStats()
+    layers = []
+    for ch in (ch_a, ch_b):
+        if variant == "backpressure":
+            ch.link.set_backpressure(1)
+        layers.append(layer(ch.link, plan_by_name(plan_name), exempt=exempt,
+                            stats=one if shared else FaultStats()))
+    tracer = Tracer()
+    if variant == "tracer":
+        loop.schedule_at(0.8, setattr, loop, "trace", tracer)
+        loop.schedule_at(1.6, setattr, loop, "trace", None)
+        loop.schedule_at(2.4, tracer.attach_channel, ch_b)
+        loop.schedule_at(3.2, tracer.detach_channel, ch_b)
+    if variant == "teardown":
+        loop.schedule_at(2.0, ch_b.end_for(box).tear_down)
+
+    slot = ch_a.end_for(a).slot()
+    for k in range(SLOT_CALLS):
+        if slot.is_closed:
+            a.open(slot, AUDIO)
+        net.run(0.07)
+        if slot.is_flowing and k % 3 == 0:
+            a.modify(slot, mute_out=bool(k % 2))   # a Python-issued select
+        if variant in ("meta", "predicate"):
+            ch_a.end_for(a).send_meta(AppMeta("tick", {"k": k}))
+        net.run(0.07)
+        a.close(slot)
+        net.run(0.06)
+    net.run(5.0)
+    return {
+        "log": log,
+        "stats": [f.stats.to_json() for f in layers],
+        "sent": [ch.link.sent for ch in (ch_a, ch_b)],
+        "down": [ch.link.down for ch in (ch_a, ch_b)],
+        "deferred": [ch.link.deferred_total for ch in (ch_a, ch_b)],
+        "rng": loop.rng.getstate(),
+        "executed": loop.executed,
+        "now": loop.now,
+        "meta": [str(sig) for _, sig in box.meta_log],
+        "slots": [(s.name, s.state, s.signals_sent, s.signals_received,
+                   s.duplicate_drops, s.invalid_drops, s.stale_drops,
+                   s.retransmits, s.failures)
+                  for ch in net.channels for e in ch.ends
+                  for s in e.slots.values()],
+        "faults": [(e.ts, e.action, e.detail) for e in tracer.events
+                   if isinstance(e, FaultInjected)],
+        "traced": len(tracer.events),
+    }
+
+
+@pytest.mark.parametrize("variant", sorted(SLOT_VARIANTS))
+def test_slot_sends_match_reference(variant):
+    acted = flapped = 0
+    for case in SLOT_CASES:
+        if case[0] != variant:
+            continue
+        new = run_slot_case(FaultyLink, *case)
+        assert new == run_slot_case(SpecFaultyLink, *case), case
+        if variant != "backpressure":
+            # The parent-commit reference schedules around the link's
+            # bounded transmit, so it cannot model deferral.
+            assert new == run_slot_case(ReferenceFaultyLink, *case), case
+        acted += sum(st["dropped"] + st["duplicated"]
+                     for st in new["stats"])
+        if variant == "backpressure":
+            assert sum(new["deferred"]) > 0, case
+        if variant == "tracer":
+            assert new["faults"] and new["traced"] > len(new["faults"])
+        flapped += sum(st["flap_drops"] for st in new["stats"])
+        if variant == "teardown":
+            assert new["down"] == [False, True], case
+        if variant in ("meta", "predicate"):
+            assert sum(st["exempted"] for st in new["stats"]) \
+                >= SLOT_CALLS, case
+    assert acted > 0
+    # Not vacuous: the flaky plan's outages caught signals in flight.
+    assert (flapped > 0) == (variant == "flaky")
+
+
 def _digest() -> str:
     h = hashlib.sha256()
     for case in CASES:
         out = run_case(FaultyLink, *case)
         del out["rng"]
+        h.update(repr(sorted(out.items())).encode())
+    for case in SLOT_CASES:
+        out = run_slot_case(FaultyLink, *case)
+        out["rng"] = hashlib.sha256(repr(out["rng"]).encode()).hexdigest()
         h.update(repr(sorted(out.items())).encode())
     return h.hexdigest()
 

@@ -10,9 +10,10 @@ the run shows up in the digest below long before 2,000 calls are over.
 Each configuration runs once per backend in a child interpreter (the
 backend is fixed at import time).  The digest covers ``loop.executed``,
 ``loop.now``, a hash of ``loop.rng.getstate()``, the fault layer's
-counters, the summed signal and transmit counts, every slot's state
-and robust-mode counters, and the number of calls that degraded to
-``closed``/``noMedia``.  Any difference is a kernel bug, not noise.
+counters, the summed signal, transmit and backpressure-deferral counts,
+every slot's state and robust-mode counters, and the number of calls
+that degraded to ``closed``/``noMedia``.  Any difference is a kernel
+bug, not noise.
 
 Run one configuration by hand, by name or as ``topology plan seed``::
 
@@ -44,13 +45,19 @@ CALLS = 2000
 #: link latency equals the first retransmission interval.  There a
 #: sent signal's delivery and the timer armed with it fall due at the
 #: same instant, so only their event seq order -- transmit first, then
-#: arm -- separates them.
+#: arm -- separates them.  Then the ``flaky`` plan (drop plus two link
+#: flaps) on that slow relay, so the flaps at 1.0 s and 4.0 s catch
+#: the first calls in flight, and a relay whose links are backpressured at one message
+#: in flight: its transmits defer, so the fault decision forwards into
+#: the Python bounded transmit instead of fusing into the slot send.
 CONFIGS = {
     "lossy_c": ("relay", "drop10+dup10", 20060912),
     "lossy_c-77003": ("relay", "drop10+dup10", 77003),
     "drop20+dup20": ("relay", "drop20+dup20", 20060912),
     "two-box": ("chain2", "drop10+dup10", 20060912),
     "tied-timers": ("tied", "drop10+dup10", 20060912),
+    "flaky": ("tied", "flaky", 20060912),
+    "backpressured": ("bp", "drop10+dup10", 20060912),
 }
 
 _SRC = os.path.normpath(os.path.join(
@@ -70,7 +77,8 @@ def run(topology: str, plan: str, seed: int,
     policy = RetransmitPolicy()
     latency = FixedLatency(policy.initial if topology == "tied" else 0.0)
     net = Network(seed=seed, faults=plan_by_name(plan), retransmit=policy,
-                  latency=latency)
+                  latency=latency,
+                  backpressure=1 if topology == "bp" else None)
     a = net.device("A")
     b = net.device("B", auto_accept=True)
     boxes = [net.box("srv%d" % i)
@@ -95,10 +103,11 @@ def run(topology: str, plan: str, seed: int,
         net.settle()
         assert slot.is_closed, slot.state
 
-    sent = received = transmits = 0
+    sent = received = transmits = deferred = 0
     slots = []
     for channel in net.channels:
         transmits += channel.link.sent
+        deferred += channel.link.deferred_total
         for end in channel.ends:
             for tid in sorted(end.slots):
                 s = end.slots[tid]
@@ -116,6 +125,7 @@ def run(topology: str, plan: str, seed: int,
         "signals_sent": sent,
         "signals_received": received,
         "transmits": transmits,
+        "deferred": deferred,
         "slots": slots,
         "degraded": degraded,
     }
@@ -142,10 +152,13 @@ def _child(backend: str, config: str) -> Dict[str, Any]:
 def test_lossy_runs_identical_across_backends(config):
     py = _child("python", config)
     cc = _child("compiled", config)
-    # Not vacuous: the plan dropped and duplicated, slots absorbed
-    # duplicates and retransmitted.
+    # Not vacuous: the plan dropped and duplicated (flapped), slots
+    # absorbed duplicates and retransmitted, the bounded links deferred.
     stats = py["fault_stats"]
-    assert stats["dropped"] > 0 and stats["duplicated"] > 0
+    assert stats["dropped"] > 0
+    assert (stats["duplicated"] > 0) == (config != "flaky")
+    assert (stats["flap_drops"] > 0) == (config == "flaky")
+    assert (py["deferred"] > 0) == (config == "backpressured")
     assert sum(s[2] for s in py["slots"]) > 0
     assert sum(s[5] for s in py["slots"]) > 0
     for key in sorted(py):

@@ -6,9 +6,10 @@ the known runtime contract."""
 from repro.audit.surface import (extract_c_surface, load_c_surface,
                                  load_py_surface)
 
-#: The eight dispatch-critical kernels the seam exports.
+#: The nine dispatch-critical kernels the seam exports.
 KERNELS = frozenset({"Event", "Deliver", "Receive", "Finish", "Process",
-                     "LinkTransmit", "SlotTransmit", "drain"})
+                     "LinkTransmit", "SlotTransmit", "FaultHook",
+                     "drain"})
 
 
 def test_c_surface_kernels():
@@ -34,8 +35,8 @@ def test_arena_caps_and_abi_match():
     assert c.constants["ENV_POOL_MAX"] == py.constants["ENV_POOL_MAX"]
     assert (c.constants["DELIVER_BATCH_MAX"]
             == py.constants["DELIVER_BATCH_MAX"])
-    assert c.constants["CCORE_ABI_VERSION"] == 4
-    assert py.abi_expected == frozenset({4})
+    assert c.constants["CCORE_ABI_VERSION"] == 5
+    assert py.abi_expected == frozenset({5})
 
 
 def test_interned_names_are_spelled_in_python():
@@ -57,6 +58,19 @@ def test_slot_fields_and_timer_methods_match_the_slot_class():
                                    "_cancel_busy"}
     assert set(c.slot_fields) <= py.slot_members
     assert set(c.slot_methods) <= py.slot_methods
+
+
+def test_fault_kernel_names_match_the_fault_classes():
+    c = load_c_surface()
+    py = load_py_surface()
+    assert c.fault_fields == {
+        "FaultyLink": ("_outage", "stats", "_hook", "link", "plan",
+                       "exempt"),
+        "FaultStats": ("exempted", "duplicated", "dropped", "forwarded"),
+        "FaultPlan": ("drop", "duplicate", "jitter", "reorder"),
+    }
+    for cls, names in c.fault_fields.items():
+        assert set(names) <= py.fault_members[cls], cls
 
 
 def test_module_lookups_resolve_structurally():

@@ -434,7 +434,8 @@ _FAULT_PATH_CODE = """
 import json
 from repro.network import backend
 from repro.network.faults import FaultStats, FaultyLink, plan_by_name
-from repro.network.network import Network, _is_meta
+from repro.network.network import Network
+from repro.protocol.signals import MetaMessage
 from repro.network.transport import Link
 from repro.protocol.codecs import AUDIO
 from repro.protocol.slot import RetransmitPolicy
@@ -465,7 +466,7 @@ def install(link):
         reached[kind] += 1
         base(origin, message)
     link._base_transmit = counting
-    FaultyLink(link, plan_by_name(%r), exempt=_is_meta, stats=stats)
+    FaultyLink(link, plan_by_name(%r), exempt=MetaMessage, stats=stats)
 for ch in (ch_a, ch_b):
     install(ch.link)
 
@@ -504,6 +505,130 @@ def test_faulted_survivors_reach_the_c_transmit_kernel():
                                "compiled"))
     assert jitter["scheduled"] == jitter["stats"]["forwarded"] > 0
     assert jitter["reached"]["kernel"] == jitter["stats"]["exempted"]
+
+
+# ---------------------------------------------------------------------------
+# fault hook: the compiled backend decides drop/duplicate in C; every
+# other fault configuration enters the reference FaultyLink._hook
+# exactly as often as the python backend does
+# ---------------------------------------------------------------------------
+
+#: The ``lossy_c`` relay with a class-level counting wrapper over
+#: ``FaultyLink._hook``, installed before any link exists (the python
+#: backend binds the hook at install time), and a profile hook counting
+#: the Python hook-chain trampolines (``Link._rebuild_chain``'s
+#: ``bound``) entered during the calls.
+_FAULT_HOOK_CODE = """
+import hashlib, json, sys
+import repro.network.network as netmod
+from repro.network.faults import FaultPlan, FaultyLink, plan_by_name
+
+entries = [0]
+_hook = FaultyLink._hook
+def counting_hook(self, origin, message, forward):
+    entries[0] += 1
+    return _hook(self, origin, message, forward)
+FaultyLink._hook = counting_hook
+
+from repro.obs.tracer import Tracer
+from repro.protocol.codecs import AUDIO
+from repro.protocol.signals import MetaMessage
+from repro.protocol.slot import RetransmitPolicy
+
+config, calls = %r
+plan = {"lossy-jitter": plan_by_name("lossy-jitter"),
+        "reorder": FaultPlan(name="reorder", drop=0.1, duplicate=0.1,
+                             reorder=0.2)}.get(config,
+                                               plan_by_name("drop10+dup10"))
+if config == "subclass":
+    class SubFaultyLink(FaultyLink):
+        pass
+    netmod.FaultyLink = SubFaultyLink
+elif config == "predicate":
+    def predicate_link(link, plan, exempt, stats):
+        return FaultyLink(link, plan, stats=stats,
+                          exempt=lambda m: isinstance(m, MetaMessage))
+    netmod.FaultyLink = predicate_link
+net = netmod.Network(seed=5, retransmit=RetransmitPolicy(), faults=plan,
+                     trace=config == "traced",
+                     backpressure=1 if config == "backpressured" else None)
+a = net.device("A")
+b = net.device("B", auto_accept=True)
+box = net.box("srv")
+ch_a = net.channel(a, box)
+ch_b = net.channel(box, b)
+box.flow_link(ch_a.end_for(box).slot(), ch_b.end_for(box).slot())
+slot = ch_a.end_for(a).slot()
+net.settle()   # channel setup: the devices answer ChannelUp (meta)
+entries[0] = 0
+trampolines = [0]
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "bound":
+        trampolines[0] += 1
+sys.setprofile(profile)
+for _ in range(calls):
+    a.open(slot, AUDIO)
+    net.settle()
+    a.close(slot)
+    net.settle()
+sys.setprofile(None)
+print(json.dumps({
+    "hook_entries": entries[0], "trampolines": trampolines[0],
+    "stats": net.fault_stats.to_json(),
+    "sent": [ch.link.sent for ch in net.channels],
+    "deferred": [ch.link.deferred_total for ch in net.channels],
+    "executed": net.loop.executed, "now": net.loop.now,
+    "rng": hashlib.sha256(repr(net.loop.rng.getstate()).encode())
+    .hexdigest(),
+    "slots": [(s.state, s.signals_sent, s.signals_received,
+               s.duplicate_drops, s.retransmits, s.failures)
+              for ch in net.channels for e in ch.ends
+              for s in e.slots.values()]}, sort_keys=True))
+"""
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
+@pytest.mark.parametrize("config,calls", [("lossy_c", 1000),
+                                          ("backpressured", 300)])
+def test_faulted_relay_never_enters_the_python_fault_hook(config, calls):
+    """The exact-count gate for the C fault decision: over the lossy_c
+    relay (and a backpressured one, where the decision stays in C but
+    forwards into the Python bounded transmit) ``FaultyLink._hook`` is
+    never entered, and the fault stats, ``link.sent`` and everything
+    else equal the python backend's.  On lossy_c every send fuses into
+    the slot send kernel, so no hook-chain trampoline runs either; the
+    backpressured relay declines the fusion and calls the C hook
+    through the chain."""
+    cc = _child_run(_FAULT_HOOK_CODE, [config, calls], "compiled")
+    py = _child_run(_FAULT_HOOK_CODE, [config, calls], "python")
+    assert cc.pop("hook_entries") == 0, cc
+    trampolines = cc.pop("trampolines")
+    assert (trampolines == 0) == (config == "lossy_c"), trampolines
+    assert py.pop("trampolines") == py.pop("hook_entries") > 0
+    assert py["stats"]["dropped"] > 0 and py["stats"]["duplicated"] > 0
+    assert (sum(py["deferred"]) > 0) == (config == "backpressured")
+    assert cc == py
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
+@pytest.mark.parametrize("config", ["traced", "lossy-jitter", "reorder",
+                                    "subclass", "predicate"])
+def test_fault_fallback_configurations_run_the_reference_hook(config):
+    """A traced loop, a jitter or reorder plan, a FaultyLink subclass
+    and a predicate exemption keep the reference hook: it is entered
+    exactly as often as under the python backend, with byte-identical
+    observables."""
+    cc = _child_run(_FAULT_HOOK_CODE, [config, 100], "compiled")
+    py = _child_run(_FAULT_HOOK_CODE, [config, 100], "python")
+    assert cc["hook_entries"] == py["hook_entries"] > 0
+    assert cc.pop("trampolines") == py.pop("trampolines")
+    assert cc == py, (
+        "fault fallback divergence on %s:\npython:   %r\ncompiled: %r"
+        % (config, py, cc))
 
 
 # ---------------------------------------------------------------------------

@@ -113,16 +113,30 @@ def test_reorder_can_overtake():
     assert faulty.stats.reordered == 50
 
 
+class Meta(str):
+    """A message class the class-form exemption names."""
+
+
 def test_exempt_messages_pass_faithfully():
-    exempt = lambda m: isinstance(m, str) and m.startswith("meta:")
-    loop, link, faulty = lossy_link(0, FaultPlan(drop=1.0), exempt=exempt)
-    got = collect(link.ends[1])
-    link.ends[0].send("meta:teardown")
-    link.ends[0].send("payload")
-    loop.run()
-    assert got == ["meta:teardown"]
-    assert faulty.stats.exempted == 1
-    assert faulty.stats.dropped == 1
+    """``exempt`` is a predicate (the Python hook, per message) or a
+    class or tuple of classes (an ``isinstance`` test; the compiled
+    backend's C hook does it by type check).  An exempt message is
+    forwarded once, draws nothing, and does not pin ``sent``."""
+    for exempt in (lambda m: isinstance(m, str) and m.startswith("meta:"),
+                   Meta, (bytes, Meta)):
+        loop, link, faulty = lossy_link(
+            0, FaultPlan(drop=1.0, duplicate=1.0), exempt=exempt)
+        got = collect(link.ends[1])
+        state = loop.rng.getstate()
+        link.ends[0].send(Meta("meta:teardown"))
+        assert loop.rng.getstate() == state
+        assert link.sent == 1
+        link.ends[0].send("payload")
+        loop.run()
+        assert got == ["meta:teardown"]
+        assert faulty.stats.exempted == 1
+        assert faulty.stats.dropped == 2 and faulty.stats.duplicated == 1
+        assert link.sent == 2
 
 
 def test_uninstall_restores_faithful_transmit():
