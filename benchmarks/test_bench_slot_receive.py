@@ -1,8 +1,7 @@
 """Slot-receive hot-path guard (not a paper artifact).
 
 The third perf wave moved the strict/reliable slot FSM receive path
-into the compiled backend (``slot_fsm_fast``), batched same-instant
-cross-link deliveries (``receive_batch``), and inlined the accepted-
+into the compiled backend (``slot_fsm_fast``) and inlined the accepted-
 signal goal dispatch.  This module guards that machinery the same two
 ways ``test_bench_trace_overhead.py`` guards tracing:
 

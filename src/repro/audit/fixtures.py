@@ -94,17 +94,7 @@ def _rc805() -> Fixture:
         state="_stim_evt")
 
 
-# -- third-perf-wave surfaces (slot FSM, goal dispatch, batching) ------
-
-def _rc803_batch() -> Fixture:
-    # The C delivery batch cap bumped without eventloop.py following:
-    # coalescing width would change under exactly one backend.
-    return Fixture(
-        name="audit-RC803-batch", code="RC803",
-        run=_doctored_c("#define DELIVER_BATCH_MAX 16",
-                        "#define DELIVER_BATCH_MAX 24"),
-        state="DELIVER_BATCH_MAX")
-
+# -- third-perf-wave surfaces (slot FSM, goal dispatch) ----------------
 
 def _rc804_poison() -> Fixture:
     # The FSM fast-path gate resolving a flag backend.py renamed.
@@ -123,16 +113,6 @@ def _rc804_state() -> Fixture:
         run=_doctored_c('PyObject_GetAttrString(mod, "FLOWING")',
                         'PyObject_GetAttrString(mod, "FLOWINGX")'),
         state="repro.protocol.slot.FLOWINGX")
-
-
-def _rc805_gen() -> Fixture:
-    # The generation counter the C FSM bumps, renamed on the C side
-    # only: the goal-poll memo would never invalidate from C.
-    return Fixture(
-        name="audit-RC805-gen", code="RC805",
-        run=_doctored_c('INTERN(goal_gen, "goal_gen");',
-                        'INTERN(goal_gen, "goal_generation");'),
-        state="goal_generation")
 
 
 # -- flowlink kernel surface --------------------------------------------
@@ -173,14 +153,14 @@ def _rc805_slot_method() -> Fixture:
 
 
 def _rc805_slot_field() -> Fixture:
-    # A robust drop counter swapped for an agent field in the offset
+    # A robust drop counter swapped for a node field in the offset
     # table: resolve_slot_fields would refuse it at import, the audit
     # says so before any build.
     return Fixture(
         name="audit-RC805-slot-field", code="RC805",
         run=_doctored_c("S.duplicate_drops, S.invalid_drops};",
-                        "S.goal_gen, S.invalid_drops};"),
-        state="Slot.goal_gen")
+                        "S.offline, S.invalid_drops};"),
+        state="Slot.offline")
 
 
 # -- fault kernel surface --------------------------------------------------
@@ -320,7 +300,7 @@ def all_audit_fixtures() -> List[Fixture]:
     """Every negative control, in code order."""
     return [fn() for fn in (
         _rc801, _rc802, _rc803, _rc804, _rc805,
-        _rc803_batch, _rc804_poison, _rc804_state, _rc805_gen,
+        _rc804_poison, _rc804_state,
         _rc805_utd, _rc804_flowlink, _rc805_slot_method, _rc805_slot_field,
         _rc805_fault_field,
         _rc810, _rc811, _rc812, _rc813, _rc814,

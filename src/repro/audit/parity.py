@@ -77,11 +77,10 @@ def diff_surfaces(c: CSurface, py: PySurface) -> List[Diagnostic]:
                 "(renamed without updating the audit surface?)"
                 % expected, state=expected))
 
-    # RC803 — arena caps, the delivery batch cap, and the ABI version
-    # must agree; a one-sided cap bump changes recycling or coalescing
-    # behavior (and thus allocation patterns) under exactly one
-    # backend.
-    for cname in ("FREELIST_MAX", "ENV_POOL_MAX", "DELIVER_BATCH_MAX"):
+    # RC803 — arena caps and the ABI version must agree; a one-sided
+    # cap bump changes recycling behavior (and thus allocation
+    # patterns) under exactly one backend.
+    for cname in ("FREELIST_MAX", "ENV_POOL_MAX"):
         c_val = c.constants.get(cname)
         py_val = py.constants.get(cname)
         if c_val != py_val:

@@ -72,7 +72,7 @@ REFERENCE_MODULES: Tuple[str, ...] = (
     "protocol/signals.py",
     # Goal machinery consumed by the C dispatch kernels (third perf
     # wave): Box.on_tunnel_signal / Box._poll, Maps._by_slot, and the
-    # memoized program poll.
+    # program poll.
     "core/box.py",
     "core/maps.py",
     "core/program.py",
@@ -252,7 +252,6 @@ class PySurface:
 _CONSTANT_MAP = {
     ("transport.py", "_FREELIST_MAX"): "FREELIST_MAX",
     ("channel.py", "_ENV_POOL_MAX"): "ENV_POOL_MAX",
-    ("eventloop.py", "_DELIVER_BATCH_MAX"): "DELIVER_BATCH_MAX",
 }
 
 _IDENTIFIER_RE = re.compile(r'^[A-Za-z_][A-Za-z0-9_]*$')

@@ -74,18 +74,6 @@ class Box(SignalingAgent):
         #: Admission control; ``None`` (the default) admits everything
         #: with zero overhead beyond this attribute test.
         self.admission: Optional[AdmissionControl] = None
-        #: Goal-poll memo: the value of ``goal_gen`` (inherited from
-        #: :class:`SignalingAgent`) at the end of the last full
-        #: no-progress guard evaluation.  Recorded only by memo-safe
-        #: programs (:class:`repro.core.program.Program`); ``-1`` never
-        #: equals a real generation, so the memo starts (and, for
-        #: non-memo-safe pollers, stays) disabled.
-        self._poll_gen = -1
-        #: Cleared when a slot owned by another agent is bound to one of
-        #: this box's program-local names: that slot's state changes
-        #: bump the *other* agent's generation, so the memo would skip
-        #: polls it must not.
-        self._goal_memo_ok = True
 
     # ------------------------------------------------------------------
     # descriptor policy: a server slot masquerades as a media endpoint
@@ -107,9 +95,6 @@ class Box(SignalingAgent):
         """Register ``slot`` under a program-local name."""
         self.slot_names[name] = slot
         self.declared_slots.add(name)
-        self.goal_gen += 1
-        if slot.channel_end.owner is not self:
-            self._goal_memo_ok = False
         return slot
 
     def declare_slot(self, *names: str) -> None:
@@ -129,7 +114,6 @@ class Box(SignalingAgent):
     def forget_slot(self, name: str) -> None:
         """Drop a program-local slot name (e.g. after channel teardown)."""
         self.slot_names.pop(name, None)
-        self.goal_gen += 1
 
     # ------------------------------------------------------------------
     # goal management (the programming primitives)
@@ -227,7 +211,6 @@ class Box(SignalingAgent):
                       if s.channel_end is end]
         for name in dead_names:
             del self.slot_names[name]
-        self.goal_gen += 1
         if self.program is not None:
             self.program.note_channel_down(end)
         self.on_channel_down(end)
@@ -235,7 +218,7 @@ class Box(SignalingAgent):
 
     def _poll(self) -> None:
         cb = self.after_stimulus
-        if cb is not None and self._poll_gen != self.goal_gen:
+        if cb is not None:
             cb()
 
     # ------------------------------------------------------------------

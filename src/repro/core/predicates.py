@@ -30,7 +30,7 @@ __all__ = [
     "Guard",
     "is_closed", "is_opening", "is_opened", "is_flowing", "slot_failed",
     "all_of", "any_of", "negate", "always",
-    "describe_guard", "guard_atom", "memo_safe_guard",
+    "describe_guard", "guard_atom",
 ]
 
 Guard = Callable[["Program"], bool]
@@ -85,26 +85,6 @@ def describe_guard(guard: Guard) -> Tuple[Any, ...]:
         return (op,) + tuple(describe_guard(g) for g in operands)
     return ("opaque", getattr(guard, "__qualname__",
                               getattr(guard, "__name__", "?")), id(guard))
-
-
-def memo_safe_guard(guard: Guard) -> bool:
-    """True when ``guard``'s verdict is a pure function of name-bound
-    slot state — ``("slot", ...)`` atoms (state and ``failed``
-    predicates) and ``("always",)`` under ``all``/``any``/``not``
-    combinators.  Every input such a guard reads is covered by the
-    owning box's ``goal_gen`` generation counter, so a program whose
-    guards are all memo-safe may skip re-evaluation while the counter
-    is unchanged.  Event-consuming guards (``meta``/``down``), which
-    have side effects, and opaque hand-written callables, which can
-    read anything, are conservatively unsafe."""
-    atom = guard_atom(guard)
-    if atom is not None:
-        return atom[0] in ("slot", "always")
-    op = getattr(guard, _OP_ATTR, None)
-    operands = getattr(guard, _OPERANDS_ATTR, None)
-    if isinstance(op, str) and isinstance(operands, tuple):
-        return all(memo_safe_guard(g) for g in operands)
-    return False
 
 
 def _slot_state_guard(name: str, state: str) -> Guard:

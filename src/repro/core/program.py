@@ -28,7 +28,7 @@ from ..protocol.slot import Slot
 from .box import Box
 from .flowlink import FlowLink
 from .goals import CloseSlot, Goal, HoldSlot, OpenSlot
-from .predicates import Guard, memo_safe_guard
+from .predicates import Guard
 
 __all__ = [
     "GoalSpec", "open_slot", "close_slot", "hold_slot", "flow_link",
@@ -241,20 +241,8 @@ class Program:
         self._installed: Dict[Tuple[GoalSpec, Tuple[Slot, ...]], Goal] = {}
         self._timeout_event = None
         self._polling = False
-        #: Goal-poll memoization: when every transition guard in every
-        #: state is a pure function of slot state (see
-        #: :func:`~repro.core.predicates.memo_safe_guard`), a full
-        #: no-progress guard pass stays valid until the box's
-        #: ``goal_gen`` moves, and :meth:`poll` records that fact so
-        #: ``Box._poll`` can skip the re-evaluation entirely.
-        self._memo_safe = all(
-            memo_safe_guard(t.guard)
-            for state in states.values() for t in state.transitions)
         box.program = self
         box.after_stimulus = self.poll
-        # A prior program may have left a recorded generation behind;
-        # this program's guards have never been evaluated.
-        box._poll_gen = -1
         self._initial = initial
 
     # -- lifecycle ----------------------------------------------------------
@@ -278,9 +266,6 @@ class Program:
             self.box.maps.release(goal)
         self._installed.clear()
         self.box.after_stimulus = None
-        # Whatever replaces this program's poll (another program, a
-        # hand-written observer) must not inherit its memo.
-        self.box._poll_gen = -1
         if self.box.program is self:
             self.box.program = None
 
@@ -313,15 +298,6 @@ class Program:
                         break
         finally:
             self._polling = False
-            # The loop exits on a full all-false guard pass; for a
-            # memo-safe program that verdict holds until goal_gen
-            # moves, so record it and let Box._poll skip the next
-            # evaluations.  Nothing runs between that last pass and
-            # this record, so the pairing is exact.
-            if self._memo_safe and not self.finished:
-                box = self.box
-                if box._goal_memo_ok:
-                    box._poll_gen = box.goal_gen
 
     def _fire(self, action: Optional[Action], target: str) -> None:
         self._emit_step(self.state_name or "", target)

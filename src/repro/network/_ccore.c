@@ -13,8 +13,9 @@
  *                  (including the heap-compaction trigger), and a
  *                  C-level __lt__ compatible with the Python one.
  *   drain          C twin of EventLoop._drain_py: the untimed merged
- *                  two-lane batched drain (deferred counter flush,
- *                  clock stored once per same-timestamp batch).
+ *                  two-lane drain, one event at a time (deferred
+ *                  counter flush, clock stored once per same-timestamp
+ *                  run of events).
  *   LinkTransmit   C twin of Link._base_transmit (installed as the
  *                  chain bottom), including the per-link Event
  *                  freelist and ready-lane routing.
@@ -52,13 +53,12 @@
 #include <Python.h>
 #include <structmember.h>
 
-#define CCORE_ABI_VERSION 5
+#define CCORE_ABI_VERSION 6
 
-/* Caps mirrored from the Python side (transport._FREELIST_MAX,
- * channel._ENV_POOL_MAX, and eventloop._DELIVER_BATCH_MAX). */
+/* Caps mirrored from the Python side (transport._FREELIST_MAX and
+ * channel._ENV_POOL_MAX). */
 #define FREELIST_MAX 32
 #define ENV_POOL_MAX 64
-#define DELIVER_BATCH_MAX 16
 
 /* ------------------------------------------------------------------ */
 /* interned attribute names                                            */
@@ -81,11 +81,10 @@ static struct {
     PyObject *local_descriptor, *selector_received, *selector_sent;
     PyObject *descriptor, *selector, *race_drops, *stale_drops, *side;
     PyObject *_tx, *_retx_timer, *_stale_timer, *_busy_timer;
-    /* goal dispatch + memoized poll */
+    /* goal dispatch */
     PyObject *maps, *_by_slot, *goal_receive, *after_stimulus, *admission;
-    PyObject *goal_gen, *_poll_gen;
     /* flowlink kernel */
-    PyObject *_utd, *_reopen, *attached, *_owner, *answers, *id, *codec;
+    PyObject *_utd, *_reopen, *attached, *answers, *id, *codec;
     PyObject *codecs, *is_real, *_no_media, *_busy_medium;
     PyObject *_busy_descriptor, *_busy_attempts, *opens_sent;
     PyObject *describes_sent, *forwarded_selects, *discarded_selects;
@@ -986,50 +985,6 @@ receive_impl(ReceiveObj *rc, PyObject *msg)
     return 0;
 }
 
-/* N receive_impl calls coalesced (batched cross-link delivery).  The
- * offline and busy flags cannot change between same-instant C
- * deliveries (no user code runs), so they are checked once.  Inbox
- * append order is delivery order, and arming after the appends draws
- * the same event seq as the reference's arm-after-first-append --
- * deliveries themselves never draw seqs. */
-static int
-receive_batch(ReceiveObj *rc, PyObject **msgs, Py_ssize_t n)
-{
-    PyObject *margs, *thunk, *res;
-    Py_ssize_t i;
-    int flag;
-
-    flag = get_attr_bool(rc->node, S.offline);
-    if (flag < 0)
-        return -1;
-    if (flag)
-        return attr_add_ll(rc->node, S.dropped_while_offline, n, NULL);
-    for (i = 0; i < n; i++) {
-        margs = PyTuple_Pack(1, msgs[i]);
-        if (margs == NULL)
-            return -1;
-        thunk = PyTuple_Pack(2, rc->process_fn, margs);
-        Py_DECREF(margs);
-        if (thunk == NULL)
-            return -1;
-        res = PyObject_CallOneArg(rc->inbox_append, thunk);
-        Py_DECREF(thunk);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-    }
-    flag = get_attr_bool(rc->node, S._busy);
-    if (flag < 0)
-        return -1;
-    if (!flag) {
-        if (PyObject_SetAttr(rc->node, S._busy, Py_True) < 0)
-            return -1;
-        return arm_node(rc->node, rc->loop, rc->heap, rc->ready,
-                        rc->ready_append, rc->seq_iter, rc->finish_cb);
-    }
-    return 0;
-}
-
 static int
 receive_init(ReceiveObj *self, PyObject *args, PyObject *kwds)
 {
@@ -1320,7 +1275,7 @@ static PyTypeObject FinishType = {
  * object members.  Only exact Slot instances may be passed. */
 enum {
     SF_STATE, SF_MEDIUM, SF_RD, SF_LD, SF_SEL_RECV, SF_SEL_SENT,
-    SF_FAILED, SF_RETRANSMIT, SF_STRICT, SF_LOOP, SF_OWNER, SF_END, SF_TX,
+    SF_FAILED, SF_RETRANSMIT, SF_STRICT, SF_LOOP, SF_END, SF_TX,
     SF_RETX_KIND, SF_RETX_TIMER, SF_STALE_TIMER, SF_BUSY_TIMER,
     SF_BUSY_MEDIUM, SF_BUSY_DESC, SF_BUSY_ATTEMPTS, SF_SIGNALS_RECEIVED,
     SF_SIGNALS_SENT, SF_RACE_DROPS, SF_STALE_DROPS, SF_RETX_SIGNAL,
@@ -1335,7 +1290,7 @@ resolve_slot_fields(void)
     PyObject *names[SF_COUNT] = {
         S.state, S.medium, S.remote_descriptor, S.local_descriptor,
         S.selector_received, S.selector_sent, S.failed, S.retransmit,
-        S.strict, S._loop, S._owner, S._end, S._tx, S._retx_kind,
+        S.strict, S._loop, S._end, S._tx, S._retx_kind,
         S._retx_timer, S._stale_timer, S._busy_timer, S._busy_medium,
         S._busy_descriptor, S._busy_attempts, S.signals_received,
         S.signals_sent, S.race_drops, S.stale_drops, S._retx_signal,
@@ -1435,22 +1390,6 @@ slot_incr(PyObject *slot, int f)
  * to the reference handlers in protocol/slot.py, which stay the
  * specification. */
 
-/* owner.goal_gen += 1: the C twin of the bump in Slot._set_state. */
-static int
-fsm_bump_gen(PyObject *owner)
-{
-    return attr_add_ll(owner, S.goal_gen, 1, NULL);
-}
-
-/* slot.state = new_state plus the generation bump _set_state performs.
- * Only reached untraced, so no SlotTransition record is due. */
-static int
-fsm_set_state(PyObject *slot, PyObject *owner, PyObject *new_state)
-{
-    slot_put(slot, SF_STATE, new_state);
-    return fsm_bump_gen(owner);
-}
-
 /* slot.<dst> = sig.<src> */
 static int
 fsm_copy_attr(PyObject *slot, int dst, PyObject *sig, PyObject *src)
@@ -1523,14 +1462,14 @@ slot_cancel_busy(PyObject *slot)
     return slot_call(slot, S._cancel_busy, NULL, NULL);
 }
 
-/* The C twin of Slot._reset_to_closed: state to closed (with the
- * generation bump), the descriptor/selector fields to None, then the
- * three timer cancels in the reference order. */
+/* The C twin of Slot._reset_to_closed: state to closed, the
+ * descriptor/selector fields to None, then the three timer cancels in
+ * the reference order.  Slot states are only set untraced here, so no
+ * SlotTransition record is due. */
 static int
-fsm_reset_to_closed(PyObject *slot, PyObject *owner)
+fsm_reset_to_closed(PyObject *slot)
 {
-    if (fsm_set_state(slot, owner, g_state_closed) < 0)
-        return -1;
+    slot_put(slot, SF_STATE, g_state_closed);
     slot_put(slot, SF_MEDIUM, Py_None);
     slot_put(slot, SF_RD, Py_None);
     slot_put(slot, SF_LD, Py_None);
@@ -1733,7 +1672,7 @@ fsm_classify(PyObject *slot, PyObject *sig, int st_id, int *cancel)
  * PyErr. */
 static int
 slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
-              PyObject *owner, int *handled)
+              int *handled)
 {
     PyObject *tp = (PyObject *)Py_TYPE(sig), *ld, *sent;
     int st_id = slot_state_id(state), action, cancel = 0, accepted = 0;
@@ -1766,9 +1705,9 @@ slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
     switch (action) {
     case FSM_OPENED:
         if (fsm_copy_attr(slot, SF_MEDIUM, sig, S.medium) < 0
-            || fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0
-            || fsm_set_state(slot, owner, g_state_opened) < 0)
+            || fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
             return -1;
+        slot_put(slot, SF_STATE, g_state_opened);
         accepted = 1;
         break;
     case FSM_RACE_DROP:
@@ -1776,14 +1715,14 @@ slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
             return -1;
         break;
     case FSM_FLOWING:
-        if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0
-            || fsm_set_state(slot, owner, g_state_flowing) < 0)
+        if (fsm_copy_attr(slot, SF_RD, sig, S.descriptor) < 0)
             return -1;
+        slot_put(slot, SF_STATE, g_state_flowing);
         accepted = 1;
         break;
     case FSM_ACK_CLOSE:
         if (fsm_tx(slot, g_closeack) < 0
-            || fsm_reset_to_closed(slot, owner) < 0)
+            || fsm_reset_to_closed(slot) < 0)
             return -1;
         accepted = 1;
         break;
@@ -1804,7 +1743,7 @@ slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
         accepted = 1;
         break;
     case FSM_CLOSED:
-        if (fsm_reset_to_closed(slot, owner) < 0)
+        if (fsm_reset_to_closed(slot) < 0)
             return -1;
         accepted = 1;
         break;
@@ -1850,7 +1789,7 @@ slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
  * PyErr.  Unknown states fall back to the Python method, which owns
  * the descriptive failure. */
 static int
-slot_receive_inline(PyObject *slot, PyObject *sig, PyObject *owner)
+slot_receive_inline(PyObject *slot, PyObject *sig)
 {
     PyObject *state, *handler, *res;
     int accepted;
@@ -1860,7 +1799,7 @@ slot_receive_inline(PyObject *slot, PyObject *sig, PyObject *owner)
         return -1;
     if (!g_arena_poison) {
         int fsm_handled = 0;
-        accepted = slot_fsm_fast(slot, sig, state, owner, &fsm_handled);
+        accepted = slot_fsm_fast(slot, sig, state, &fsm_handled);
         if (fsm_handled || accepted < 0) {
             Py_DECREF(state);
             return accepted;
@@ -1910,14 +1849,14 @@ slot_receive_inline(PyObject *slot, PyObject *sig, PyObject *owner)
  * Python (medium mismatch, undescribed open-through minting a noMedia
  * placeholder, a selector that fails validate_against, ...).  Only
  * then does the commit pass replay the same decisions, performing the
- * slot field updates, goal_gen bumps, dict writes, counter bumps,
- * transmits and timer arming in the reference order.  A signal the
- * check pass rejects goes to the Python goal_receive with nothing
- * touched. */
+ * slot field updates, dict writes, counter bumps, transmits and timer
+ * arming in the reference order.  A signal the check pass rejects goes
+ * to the Python goal_receive with nothing touched. */
 
+/* slot is borrowed; rd and medium are owned by FlCtx.refs for the
+ * duration of the call */
 typedef struct {
-    PyObject *slot;     /* borrowed: each pointer below is owned by */
-    PyObject *owner;    /* FlCtx.refs for the duration of the call  */
+    PyObject *slot;
     PyObject *rd;       /* remote_descriptor (Py_None if undescribed) */
     PyObject *medium;   /* Py_None until opened */
     int state, utd, reopen;
@@ -1926,7 +1865,7 @@ typedef struct {
 
 typedef struct {
     PyObject *fl, *utd, *reopen;    /* utd/reopen: borrowed from refs */
-    PyObject *refs[9];      /* fl.slots, _utd, _reopen, 3 per side */
+    PyObject *refs[7];      /* fl.slots, _utd, _reopen, 2 per side */
     int nrefs;
     FlSide side[2];
     int commit;
@@ -1979,7 +1918,7 @@ fl_flag(PyObject *dict, PyObject *slot, int *out)
 static int
 fl_side(FlCtx *c, FlSide *s, PyObject *slot, PyObject *loop)
 {
-    PyObject *owner, *rd, *medium;
+    PyObject *rd, *medium;
 
     if ((PyObject *)Py_TYPE(slot) != g_slot_type)
         return 0;
@@ -1994,13 +1933,11 @@ fl_side(FlCtx *c, FlSide *s, PyObject *slot, PyObject *loop)
     s->robust = slot_get(slot, SF_RETRANSMIT) != Py_None;
     s->state = slot_get(slot, SF_STATE) == NULL ? -1
         : slot_state_id(slot_get(slot, SF_STATE));
-    owner = slot_get(slot, SF_OWNER);
     rd = slot_get(slot, SF_RD);
     medium = slot_get(slot, SF_MEDIUM);
-    if (s->state < 0 || owner == NULL || rd == NULL || medium == NULL
+    if (s->state < 0 || rd == NULL || medium == NULL
         || slot_get(slot, SF_TX) == NULL)
         return 0;
-    s->owner = fl_keep(c, Py_NewRef(owner));
     s->rd = fl_keep(c, Py_NewRef(rd));
     s->medium = fl_keep(c, Py_NewRef(medium));
     return 1;
@@ -2068,14 +2005,6 @@ fl_count(FlCtx *c, PyObject *name)
     return c->commit ? attr_add_ll(c->fl, name, 1, NULL) : 0;
 }
 
-/* Slot._set_state, untraced: the state plus the owner's goal_gen */
-static int
-fl_set_state(FlSide *s, PyObject *state)
-{
-    slot_put(s->slot, SF_STATE, state);
-    return fsm_bump_gen(s->owner);
-}
-
 /* Send a fresh sig_type(a[, b]) from side s; a robust slot then arms
  * its timer on it (_arm_stale, or _arm_retx(retx_kind, sig) when
  * retx_kind is given). */
@@ -2119,8 +2048,8 @@ fl_send_open(FlCtx *c, int i, PyObject *medium, PyObject *desc)
         return -1;
     slot_put(s->slot, SF_BUSY_ATTEMPTS, zero);
     Py_DECREF(zero);
-    if (fl_set_state(s, g_state_opening) < 0
-        || fl_tx_new(s, g_sig_open, medium, desc, g_kind_open) < 0)
+    slot_put(s->slot, SF_STATE, g_state_opening);
+    if (fl_tx_new(s, g_sig_open, medium, desc, g_kind_open) < 0)
         return -1;
     return 1;
 }
@@ -2135,8 +2064,8 @@ fl_send_oack(FlCtx *c, int i, PyObject *desc)
     if (!c->commit)
         return 1;
     slot_put(s->slot, SF_LD, desc);
-    if (fl_set_state(s, g_state_flowing) < 0
-        || fl_tx_new(s, g_sig_oack, desc, NULL, NULL) < 0)
+    slot_put(s->slot, SF_STATE, g_state_flowing);
+    if (fl_tx_new(s, g_sig_oack, desc, NULL, NULL) < 0)
         return -1;
     return 1;
 }
@@ -2150,8 +2079,8 @@ fl_send_close(FlCtx *c, int i)
     s->state = ST_CLOSING;
     if (!c->commit)
         return 1;
-    if (fl_set_state(s, g_state_closing) < 0
-        || slot_cancel_stale(s->slot) < 0
+    slot_put(s->slot, SF_STATE, g_state_closing);
+    if (slot_cancel_stale(s->slot) < 0
         || fsm_tx(s->slot, g_close) < 0
         || (s->robust
             && slot_call(s->slot, S._arm_retx, g_kind_close, g_close) < 0))
@@ -2403,10 +2332,10 @@ call_py_process(ProcessObj *p, PyObject *msg)
 /* The accepted-signal upcall.  When the owner's handler is the
  * reference Box.on_tunnel_signal, admission control is off, and a goal
  * controls the slot, the dispatch runs here: goal.goal_receive (in C
- * for a flowlink the kernel above accepts) plus the generation-gated
- * program poll (Box._poll).  Every other combination -- overridden
- * handlers, admission control installed, unmanaged slots -- calls the
- * bound handler, which owns the bookkeeping. */
+ * for a flowlink the kernel above accepts) plus the program poll
+ * (Box._poll).  Every other combination -- overridden handlers,
+ * admission control installed, unmanaged slots -- calls the bound
+ * handler, which owns the bookkeeping. */
 static int
 upcall_accepted(ProcessObj *p, PyObject *slot, PyObject *sig)
 {
@@ -2454,28 +2383,16 @@ upcall_accepted(ProcessObj *p, PyObject *slot, PyObject *sig)
                 Py_DECREF(goal);
                 if (fl_done < 0)
                     goto fail;
-                /* Box._poll: re-evaluate program guards only when a
-                 * guard input moved since the last full pass */
+                /* Box._poll */
                 cb = PyObject_GetAttr(p->owner, S.after_stimulus);
                 if (cb == NULL)
                     goto fail;
-                if (cb != Py_None) {
-                    long long gg, pg;
-                    if (get_attr_ll(p->owner, S.goal_gen, &gg) < 0 ||
-                        get_attr_ll(p->owner, S._poll_gen, &pg) < 0) {
-                        Py_DECREF(cb);
-                        goto fail;
-                    }
-                    if (gg != pg) {
-                        res = PyObject_CallNoArgs(cb);
-                        if (res == NULL) {
-                            Py_DECREF(cb);
-                            goto fail;
-                        }
-                        Py_DECREF(res);
-                    }
-                }
+                res = (cb == Py_None) ? Py_NewRef(Py_None)
+                    : PyObject_CallNoArgs(cb);
                 Py_DECREF(cb);
+                if (res == NULL)
+                    goto fail;
+                Py_DECREF(res);
                 done = 1;
             }
         }
@@ -2537,7 +2454,7 @@ process_impl(ProcessObj *p, PyObject *msg)
         Py_DECREF(slot);
         return -1;
     }
-    accepted = slot_receive_inline(slot, sig, p->owner);
+    accepted = slot_receive_inline(slot, sig);
     if (accepted < 0) {
         Py_DECREF(sig);
         Py_DECREF(slot);
@@ -2703,30 +2620,22 @@ compact_pending_c(TransmitObj *t)
     n = PyList_GET_SIZE(t->pending);
     for (i = 0; i < n; i++) {
         PyObject *e = PyList_GET_ITEM(t->pending, i);
-        if (CEvent_CheckExact(e)) {
-            CEvent *c = (CEvent *)e;
-            if (c->loop != NULL) {
-                if (PyList_Append(alive, e) < 0)
-                    goto fail;
-            }
-            else if (!c->cancelled &&
-                     PyList_GET_SIZE(t->freelist) < FREELIST_MAX) {
-                if (PyList_Append(t->freelist, e) < 0)
-                    goto fail;
-            }
+        CEvent *c = (CEvent *)e;
+        if (!CEvent_CheckExact(e)) {
+            /* every scheduler that appends here builds eventloop.Event,
+             * which is the C type under this backend */
+            PyErr_Format(PyExc_TypeError,
+                         "link._pending entry is not an Event: %R", e);
+            goto fail;
         }
-        else {
-            /* foreign event object: keep it if still scheduled */
-            PyObject *lp = PyObject_GetAttr(e, S._loop);
-            if (lp == NULL)
+        if (c->loop != NULL) {
+            if (PyList_Append(alive, e) < 0)
                 goto fail;
-            if (lp != Py_None) {
-                if (PyList_Append(alive, e) < 0) {
-                    Py_DECREF(lp);
-                    goto fail;
-                }
-            }
-            Py_DECREF(lp);
+        }
+        else if (!c->cancelled &&
+                 PyList_GET_SIZE(t->freelist) < FREELIST_MAX) {
+            if (PyList_Append(t->freelist, e) < 0)
+                goto fail;
         }
     }
     if (PyList_SetSlice(t->pending, 0, n, alive) < 0)
@@ -3487,69 +3396,6 @@ static PyTypeObject SlotTransmitType = {
 /* drain(loop, limit)                                                  */
 /* ------------------------------------------------------------------ */
 
-/* Peek the merged-order front of the two lanes; when it is an
- * uncancelled CEvent carrying the same Deliver callback at the same
- * instant, pop it (returns 1, event in *out).  Returns 0 when the
- * front does not extend the batch, -1 on error.  Pops draw no seqs and
- * run no user code, so batch membership cannot change while
- * collecting. */
-static int
-pop_matching_deliver(PyObject *heap, PyObject *ready,
-                     PyObject *ready_popleft, PyObject *cb,
-                     double t, PyObject **out)
-{
-    Py_ssize_t hs = PyList_GET_SIZE(heap);
-    Py_ssize_t rs = PyObject_Length(ready);
-    PyObject *front;
-    CEvent *c;
-    int from_ready;
-
-    *out = NULL;
-    if (rs < 0)
-        return -1;
-    if (rs > 0) {
-        PyObject *r0 = PySequence_GetItem(ready, 0);
-        if (r0 == NULL)
-            return -1;
-        /* the deque's own reference keeps r0 alive after this DECREF */
-        Py_DECREF(r0);
-        if (hs > 0) {
-            int lt = ev_lt(PyList_GET_ITEM(heap, 0), r0);
-            if (lt < 0)
-                return -1;
-            if (lt) {
-                front = PyList_GET_ITEM(heap, 0);
-                from_ready = 0;
-            }
-            else {
-                front = r0;
-                from_ready = 1;
-            }
-        }
-        else {
-            front = r0;
-            from_ready = 1;
-        }
-    }
-    else if (hs > 0) {
-        front = PyList_GET_ITEM(heap, 0);
-        from_ready = 0;
-    }
-    else
-        return 0;
-    if (!CEvent_CheckExact(front))
-        return 0;
-    c = (CEvent *)front;
-    if (c->cancelled || c->callback != cb || c->time != t
-        || !PyTuple_Check(c->args) || PyTuple_GET_SIZE(c->args) != 1)
-        return 0;
-    if (from_ready)
-        *out = PyObject_CallNoArgs(ready_popleft);
-    else
-        *out = heap_pop(heap);
-    return (*out == NULL) ? -1 : 1;
-}
-
 static PyObject *
 mod_drain(PyObject *mod, PyObject *args)
 {
@@ -3633,57 +3479,13 @@ mod_drain(PyObject *mod, PyObject *args)
             break;
         }
         if (!CEvent_CheckExact(ev_obj)) {
-            /* Foreign event object (should not happen under the
-             * compiled backend, but stay safe): emulate the Python
-             * drain on it via attribute access. */
-            PyObject *c = PyObject_GetAttrString(ev_obj, "cancelled");
-            int cflag = c ? PyObject_IsTrue(c) : -1;
-            Py_XDECREF(c);
-            if (cflag < 0) {
-                Py_DECREF(ev_obj);
-                failed = 1;
-                break;
-            }
-            if (cflag) {
-                Py_DECREF(ev_obj);
-                continue;
-            }
-            executed++;
-            if (PyObject_SetAttrString(ev_obj, "_loop", Py_None) < 0 ||
-                get_attr_double(loop, S._now, &now) < 0) {
-                Py_DECREF(ev_obj);
-                failed = 1;
-                break;
-            }
-            {
-                PyObject *tv = PyObject_GetAttrString(ev_obj, "time");
-                PyObject *cbv, *argv, *res;
-                double tval = tv ? PyFloat_AsDouble(tv) : -1.0;
-                Py_XDECREF(tv);
-                if (tv == NULL || (tval == -1.0 && PyErr_Occurred())) {
-                    Py_DECREF(ev_obj);
-                    failed = 1;
-                    break;
-                }
-                if (tval != now &&
-                    set_attr_double(loop, S._now, tval) < 0) {
-                    Py_DECREF(ev_obj);
-                    failed = 1;
-                    break;
-                }
-                cbv = PyObject_GetAttrString(ev_obj, "callback");
-                argv = cbv ? PyObject_GetAttrString(ev_obj, "args") : NULL;
-                res = argv ? PyObject_CallObject(cbv, argv) : NULL;
-                Py_XDECREF(cbv);
-                Py_XDECREF(argv);
-                Py_DECREF(ev_obj);
-                if (res == NULL) {
-                    failed = 1;
-                    break;
-                }
-                Py_DECREF(res);
-            }
-            continue;
+            /* eventloop.Event is the C type under this backend, so
+             * anything else on a lane is a caller's bug */
+            PyErr_Format(PyExc_TypeError,
+                         "drain: lane entry is not an Event: %R", ev_obj);
+            Py_DECREF(ev_obj);
+            failed = 1;
+            break;
         }
         ev = (CEvent *)ev_obj;
         if (ev->cancelled) {
@@ -3710,58 +3512,8 @@ mod_drain(PyObject *mod, PyObject *args)
         }
         cb = ev->callback;
         if (Py_TYPE(cb) == &DeliverType && PyTuple_GET_SIZE(ev->args) == 1) {
-            /* Batched cross-link delivery: same-instant deliveries to
-             * the same link end collapse into one C walk when the
-             * delivery runs no user code (a down link drops; a Receive
-             * kernel only appends thunks), so nothing a batched event
-             * does can cancel or reorder the events collected behind
-             * it. */
-            DeliverObj *d = (DeliverObj *)cb;
-            PyObject *recv = NULL;
-            int down = get_attr_bool(d->link, S.down);
-            int batch_ok = down;
-            st = 0;
-            if (down < 0)
-                st = -1;
-            else if (!down) {
-                recv = PyObject_GetAttr(d->end, S._receiver);
-                if (recv == NULL)
-                    st = -1;
-                else
-                    batch_ok = (Py_TYPE(recv) == &ReceiveType);
-            }
-            if (st == 0 && batch_ok) {
-                PyObject *extra[DELIVER_BATCH_MAX];
-                PyObject *msgs[DELIVER_BATCH_MAX];
-                Py_ssize_t nx = 0, i;
-                msgs[0] = PyTuple_GET_ITEM(ev->args, 0);
-                while (nx + 1 < DELIVER_BATCH_MAX && executed != limit) {
-                    PyObject *nxt = NULL;
-                    int got = pop_matching_deliver(heap, ready,
-                                                   ready_popleft, cb,
-                                                   ev->time, &nxt);
-                    if (got < 0) {
-                        st = -1;
-                        break;
-                    }
-                    if (!got)
-                        break;
-                    executed++;
-                    Py_CLEAR(((CEvent *)nxt)->loop);
-                    extra[nx] = nxt;
-                    msgs[nx + 1] =
-                        PyTuple_GET_ITEM(((CEvent *)nxt)->args, 0);
-                    nx++;
-                }
-                if (st == 0 && !down)
-                    st = receive_batch((ReceiveObj *)recv, msgs, nx + 1);
-                for (i = 0; i < nx; i++)
-                    Py_DECREF(extra[i]);
-            }
-            else if (st == 0) {
-                st = deliver_impl(d, PyTuple_GET_ITEM(ev->args, 0));
-            }
-            Py_XDECREF(recv);
+            st = deliver_impl((DeliverObj *)cb,
+                              PyTuple_GET_ITEM(ev->args, 0));
         }
         else if (Py_TYPE(cb) == &FinishType &&
                  PyTuple_GET_SIZE(ev->args) == 0) {
@@ -3913,12 +3665,9 @@ intern_all(void)
     INTERN(goal_receive, "goal_receive");
     INTERN(after_stimulus, "after_stimulus");
     INTERN(admission, "admission");
-    INTERN(goal_gen, "goal_gen");
-    INTERN(_poll_gen, "_poll_gen");
     INTERN(_utd, "_utd");
     INTERN(_reopen, "_reopen");
     INTERN(attached, "attached");
-    INTERN(_owner, "_owner");
     INTERN(answers, "answers");
     INTERN(id, "id");
     INTERN(codec, "codec");

@@ -59,17 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Event", "EventLoop", "QuiescenceError"]
 
-#: Cap on how many same-instant deliveries to the same link end the
-#: compiled drain coalesces into one C walk (mirrored by the C kernel's
-#: ``DELIVER_BATCH_MAX``; the parity auditor pins the two together).
-#: Batching changes no observable order: the batched events are exactly
-#: the consecutive merged-order front, and a pure C delivery runs no
-#: user code that could cancel or reorder the events behind it.  The
-#: pure-Python drain dispatches one event at a time and needs no
-#: mirror logic -- the constant exists so the contract is visible (and
-#: doctorable) on the reference side.
-_DELIVER_BATCH_MAX = 16
-
 
 class QuiescenceError(RuntimeError):
     """Raised when a run is asked to reach quiescence but cannot.

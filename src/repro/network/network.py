@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Type, Union
 from ..obs.tracer import Tracer
 from ..protocol.channel import (SignalingAgent, SignalingChannel,
                                 DEFAULT_TUNNEL)
-from ..protocol.signals import MetaMessage
+from ..protocol.signals import ChannelUp, MetaMessage
 from ..protocol.slot import RetransmitPolicy
 from .eventloop import EventLoop
 from .faults import FaultPlan, FaultStats, FaultyLink
@@ -116,10 +116,13 @@ class Network:
                 retransmit: Optional[RetransmitPolicy] = None) \
             -> SignalingChannel:
         """Create a signaling channel between two agents."""
+        # The link is configured before the channel announces itself, so
+        # the ChannelUp meta-signal crosses the same backpressure and
+        # fault layers as every later message.
         channel = SignalingChannel(
             self.loop, initiator, responder, tunnel_ids=tunnels,
             latency=latency if latency is not None else self.latency,
-            target=target, name=name, strict=strict,
+            target=target, name=name, strict=strict, announce=False,
             retransmit=retransmit if retransmit is not None
             else self.retransmit)
         self.channels.append(channel)
@@ -134,6 +137,7 @@ class Network:
             self._faulty_links.append(FaultyLink(
                 channel.link, self.faults, exempt=MetaMessage,
                 stats=self.fault_stats))
+        channel.ends[0].send_meta(ChannelUp(target=target))
         return channel
 
     def dial(self, initiator: SignalingAgent, address: str,

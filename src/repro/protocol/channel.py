@@ -73,15 +73,6 @@ class SignalingAgent:
         self.name = name
         self.node = Node(loop, name=name, cost=cost)
         self.channel_ends: List["ChannelEnd"] = []
-        #: Slot-state generation counter.  Bumped whenever guard-visible
-        #: slot state owned by this agent changes: every
-        #: ``Slot._set_state`` (and the compiled FSM fast path, which
-        #: bypasses it), plus slot-name binding changes on boxes.  Boxes
-        #: pair it with ``_poll_gen`` to skip goal re-evaluation while
-        #: no guard input moved; the counter lives on the agent (not the
-        #: box) so the slot side can bump ``_end.owner.goal_gen``
-        #: without caring what kind of agent owns the end.
-        self.goal_gen = 0
 
     # -- hooks -----------------------------------------------------------
     def on_tunnel_signal(self, slot: Slot, signal: TunnelSignal) -> None:

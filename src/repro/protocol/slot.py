@@ -99,7 +99,7 @@ class Slot:
     # per-instance dict and makes the state fields the FSM touches on
     # every receive direct offsets.
     __slots__ = (
-        "_end", "_owner", "tunnel_id", "strict", "retransmit",
+        "_end", "tunnel_id", "strict", "retransmit",
         "state", "medium", "remote_descriptor", "local_descriptor",
         "selector_received", "selector_sent", "failed",
         "race_drops", "stale_drops", "invalid_drops", "duplicate_drops",
@@ -120,11 +120,6 @@ class Slot:
                  strict: bool = True,
                  retransmit: Optional[RetransmitPolicy] = None):
         self._end = channel_end
-        #: The owning agent, pinned at construction (an end never
-        #: changes owners) — the goal_gen bump in ``_set_state`` runs
-        #: on every transition and must not re-chase ``_end.owner``.
-        #: The compiled kernels pin the same reference at their init.
-        self._owner = channel_end.owner
         self._loop = channel_end.owner.loop
         self.tunnel_id = tunnel_id
         #: Strict slots raise :class:`ProtocolError` on illegal receives;
@@ -213,12 +208,6 @@ class Slot:
         sees the full FSM history."""
         old = self.state
         self.state = new
-        # Guard-visible state moved (``failed`` flips always travel with
-        # a state change, so this one bump also covers them): invalidate
-        # the owner's goal-poll memo.  Unconditional — a same-state
-        # reset (e.g. force-closing a closed slot) conservatively
-        # invalidates too.
-        self._owner.goal_gen += 1
         tr = self._loop.trace
         if tr is not None and new != old:
             tr.emit(SlotTransition(

@@ -12,10 +12,9 @@ to be identical.
 
 A digest covers every slot's protocol state, medium, descriptors,
 selectors and counters, every flowlink's ``_utd``/``_reopen`` flags and
-counters, every agent's ``goal_gen``, ``loop.executed``, ``loop.now``,
-a hash of ``loop.rng``'s state and the exception a run raised, if
-any.  Seeds also plant the seams the kernel's gates must route to
-Python, and the mixed configurations it must get right: open/open
+counters, ``loop.executed``, ``loop.now``, a hash of ``loop.rng``'s
+state and the exception a run raised, if any.  Seeds also plant the
+seams the kernel's gates must route to Python, and the mixed configurations it must get right: open/open
 races from both ends, crossing closes, selects answering superseded
 descriptors, a selector whose codec the far descriptor does not offer
 (``ProtocolError`` on both backends), an open carrying no descriptor
@@ -205,8 +204,6 @@ def scenario(seed: int) -> List[Any]:
     out: List[Any] = [seam, error, net.loop.executed, net.loop.now,
                       hashlib.sha256(repr(net.loop.rng.getstate())
                                      .encode()).hexdigest()]
-    for name in sorted(net.agents):
-        out.append((name, net.agents[name].goal_gen))
     for channel in net.channels:
         for end in channel.ends:
             for tid in sorted(end.slots):

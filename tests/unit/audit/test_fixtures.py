@@ -13,7 +13,7 @@ def test_every_code_has_a_fixture():
     # At least one negative control per code; parity codes carry one
     # extra control per dual-implemented surface class (arena caps,
     # runtime symbol lookups, interned names grew with the C FSM /
-    # goal-dispatch / batched-delivery kernels).
+    # goal-dispatch / flowlink / fault kernels).
     covered = {f.code for f in FIXTURES}
     assert covered == set(AUDIT_CODES)
 

@@ -33,10 +33,8 @@ def test_arena_caps_and_abi_match():
     py = load_py_surface()
     assert c.constants["FREELIST_MAX"] == py.constants["FREELIST_MAX"]
     assert c.constants["ENV_POOL_MAX"] == py.constants["ENV_POOL_MAX"]
-    assert (c.constants["DELIVER_BATCH_MAX"]
-            == py.constants["DELIVER_BATCH_MAX"])
-    assert c.constants["CCORE_ABI_VERSION"] == 5
-    assert py.abi_expected == frozenset({5})
+    assert c.constants["CCORE_ABI_VERSION"] == 6
+    assert py.abi_expected == frozenset({6})
 
 
 def test_interned_names_are_spelled_in_python():

@@ -186,6 +186,52 @@ def test_compiled_event_type_is_the_c_type():
     assert out == "ctype-ok"
 
 
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
+def test_compiled_drain_rejects_a_foreign_lane_entry():
+    """Under the compiled backend ``eventloop.Event`` is the C type, so
+    the C drain and the C pending-list compaction reject anything else
+    with ``TypeError``.  The drain's deferred flush still accounts for
+    the event that ran before the bad entry."""
+    out = _probe(
+        """
+        from repro.network.eventloop import EventLoop
+        from repro.network.transport import Link
+
+        class Foreign:
+            def __lt__(self, other):
+                return False      # the ready lane goes first
+
+        loop = EventLoop(seed=1)
+        fired = []
+        loop.call_soon(fired.append, 1)
+        loop._heap.append(Foreign())
+        try:
+            loop.run()
+        except TypeError as exc:
+            assert "not an Event" in str(exc), exc
+        else:
+            raise AssertionError("drain accepted a foreign entry")
+        assert fired == [1]
+        assert (loop.executed, loop.pending()) == (1, 0)
+        assert loop._heap == [] and not loop._ready
+
+        link = Link(EventLoop(seed=1))
+        link.ends[1].set_receiver(fired.append)
+        link._pending.append(Foreign())
+        link._compact_at = 1
+        try:
+            link.ends[0].send("m")
+        except TypeError as exc:
+            assert "not an Event" in str(exc), exc
+        else:
+            raise AssertionError("compaction accepted a foreign entry")
+        print("typeerror-ok")
+        """, "compiled")
+    assert out == "typeerror-ok"
+
+
 # ---------------------------------------------------------------------------
 # cross-backend parity: the whole fingerprint matrix, both backends
 # ---------------------------------------------------------------------------
@@ -240,6 +286,72 @@ def test_fingerprints_identical_across_backends():
         assert py[key] == cc[key], (
             "backend divergence on %s:\npython:   %r\ncompiled: %r"
             % (key, py[key], cc[key]))
+
+
+#: The program-driven apps, untraced (a tracer would send every receive
+#: down the Python path), counting ``Program.poll`` entries and the
+#: Python frames of the reference ``Box.on_tunnel_signal``: under the
+#: compiled backend the accepted-signal dispatch, and the call of the
+#: program poll after it, run in C for every goal-controlled slot.
+_POLL_CODE = """
+import json, sys
+from repro.chaos.scenarios import SCENARIOS
+from repro.core.box import Box
+from repro.core.program import Program
+from repro.network.faults import plan_by_name
+from repro.network.network import Network
+from repro.protocol.slot import RetransmitPolicy
+
+polls = [0]
+_poll = Program.poll
+def counting_poll(self):
+    polls[0] += 1
+    return _poll(self)
+Program.poll = counting_poll
+
+box_frames = [0]
+box_code = Box.on_tunnel_signal.__code__
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code is box_code:
+        box_frames[0] += 1
+
+out = {}
+for mode in ("faithful", "faulted"):
+    polls[0] = box_frames[0] = 0
+    if mode == "faithful":
+        net = Network(seed=7)
+    else:
+        net = Network(seed=7, retransmit=RetransmitPolicy(),
+                      faults=plan_by_name("drop10+dup10"))
+    sys.setprofile(profile)
+    fingerprint = SCENARIOS[%r](net)
+    sys.setprofile(None)
+    out[mode] = {"polls": polls[0], "box_frames": box_frames[0],
+                 "fingerprint": repr(fingerprint),
+                 "executed": net.loop.executed, "now": net.loop.now}
+print(json.dumps(out, sort_keys=True))
+"""
+
+
+@pytest.mark.skipif(not compiled_available(),
+                    reason="compiled backend not built "
+                           "(python tools/build_backend.py)")
+@pytest.mark.parametrize("app", ["click_to_dial", "prepaid"])
+def test_program_polls_identical_across_backends(app):
+    """The C goal dispatch calls the program's poll after every
+    accepted signal, exactly as ``Box._poll`` does: on the
+    program-driven apps the compiled backend enters ``Program.poll`` as
+    often as the python backend, with identical fingerprints, and
+    without a single Python ``Box.on_tunnel_signal`` frame."""
+    py = _child_run(_POLL_CODE, app, "python")
+    cc = _child_run(_POLL_CODE, app, "compiled")
+    assert set(py) == set(cc) == {"faithful", "faulted"}
+    for key in sorted(py):
+        frames_py = py[key].pop("box_frames")
+        frames_cc = cc[key].pop("box_frames")
+        assert py[key]["polls"] > 0, key
+        assert frames_cc == 0 < frames_py, (key, frames_cc, frames_py)
+        assert cc[key] == py[key], (key, py[key], cc[key])
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +830,7 @@ out = dict(calls, calls_made=CALLS, executed=net.loop.executed,
            flowlink=[goal.forwarded_selects, goal.discarded_selects,
                      goal.describes_sent, goal.opens_sent,
                      [goal._utd[s] for s in goal.slots],
-                     [goal._reopen[s] for s in goal.slots]],
-           goal_gen=box.goal_gen)
+                     [goal._reopen[s] for s in goal.slots]])
 if tracer is not None:
     out["trace_sha"] = hashlib.sha256(
         dumps_chrome(tracer, meta={}).encode()).hexdigest()

@@ -3,6 +3,7 @@ plan algebra, the faulty transmit path, link flaps, and crash windows."""
 
 import pytest
 
+from repro.network.backend import compiled_available
 from repro.network.eventloop import EventLoop
 from repro.network.faults import (PLANS, CrashSchedule, FaultPlan,
                                   FaultStats, FaultyLink)
@@ -10,6 +11,7 @@ from repro.network.latency import FixedLatency
 from repro.network.node import Node
 from repro.network.transport import Link
 
+from .test_backend import _child_run
 from .test_transport import collect
 
 
@@ -361,3 +363,75 @@ def test_plan_describe_is_json_friendly():
     assert desc["name"] == "flaky"
     assert desc["drop"] == pytest.approx(0.05)
     assert desc["flaps"] == [[1.0, 0.4], [4.0, 0.4]]
+
+
+#: A faulted device-box-device relay, counting ``FaultyLink._hook``
+#: entries (wrapped before any link exists, so the python backend binds
+#: the wrapper) and the meta-messages offered on its links; the run
+#: ends with a teardown, so ``TearDown`` crosses the fault layer too.
+_FAULTED_RELAY_CODE = """
+import json
+from repro.network.faults import FaultyLink, plan_by_name
+from repro.protocol.channel import ChannelEnd
+
+entries = [0]
+_hook = FaultyLink._hook
+def counting_hook(self, origin, message, forward):
+    entries[0] += 1
+    return _hook(self, origin, message, forward)
+FaultyLink._hook = counting_hook
+
+metas = [0]
+_send_meta = ChannelEnd.send_meta
+def counting_send_meta(self, signal):
+    metas[0] += self.alive
+    return _send_meta(self, signal)
+ChannelEnd.send_meta = counting_send_meta
+
+from repro.network.network import Network
+from repro.protocol.codecs import AUDIO
+from repro.protocol.slot import RetransmitPolicy
+
+net = Network(seed=%d, retransmit=RetransmitPolicy(),
+              faults=plan_by_name("drop10+dup10"))
+a = net.device("A")
+b = net.device("B", auto_accept=True)
+box = net.box("srv")
+ch_a = net.channel(a, box)
+ch_b = net.channel(box, b)
+box.flow_link(ch_a.end_for(box).slot(), ch_b.end_for(box).slot())
+slot = ch_a.end_for(a).slot()
+for _ in range(50):
+    a.open(slot, AUDIO)
+    net.settle()
+    a.close(slot)
+    net.settle()
+ch_a.end_for(a).tear_down()
+ch_b.end_for(b).tear_down()
+net.settle()
+print(json.dumps({"entries": entries[0], "metas": metas[0],
+                  "sent": ch_a.link.sent + ch_b.link.sent,
+                  "stats": net.fault_stats.to_json(),
+                  "executed": net.loop.executed}))
+"""
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_channel_up_crosses_the_fault_layer(seed):
+    """``Network.channel`` configures the link before the channel sends
+    ``ChannelUp``, so every meta-message, the first included, is
+    counted as exempted, and on the python backend every offer on a
+    faulted link enters the hook.  The compiled backend's C hook makes
+    the same decisions without entering ``_hook``."""
+    py = _child_run(_FAULTED_RELAY_CODE, seed, "python")
+    assert py["metas"] >= 4      # two ChannelUps and two TearDowns
+    assert py["stats"]["exempted"] == py["metas"]
+    assert py["sent"] == py["entries"]
+    if not compiled_available():
+        pytest.skip("compiled backend not built "
+                    "(python tools/build_backend.py)")
+    cc = _child_run(_FAULTED_RELAY_CODE, seed, "compiled")
+    assert cc["entries"] == 0
+    assert cc["stats"]["exempted"] == cc["metas"]
+    for key in ("metas", "sent", "stats", "executed"):
+        assert cc[key] == py[key], key
