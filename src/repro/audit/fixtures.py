@@ -141,15 +141,26 @@ def _rc804_flowlink() -> Fixture:
 # -- robust-slot surface (slot FSM and flowlink kernels) ------------------
 
 def _rc805_slot_method() -> Fixture:
-    # The staleness cancel retargeted at the timer *field*: the name is
-    # interned and spelled in slot.py, so only the Slot-method check
-    # sees that the kernel would call a non-method.
+    # The staleness timer armed with the timer *field* as its handler:
+    # the name is interned and spelled in slot.py, so only the
+    # Slot-method check sees that the kernel would arm a non-method.
     return Fixture(
         name="audit-RC805-slot-method", code="RC805",
-        run=_doctored_c(
-            "slot_call(slot, S._cancel_stale, NULL, NULL)",
-            "slot_call(slot, S._stale_timer, NULL, NULL)"),
+        run=_doctored_c("SF_STALE_TIMER, after, S._stale_fire)",
+                        "SF_STALE_TIMER, after, S._stale_timer)"),
         state="Slot._stale_timer")
+
+
+def _rc805_timer_field() -> Fixture:
+    # The first retransmission delay read off the policy under the
+    # slot's interval field name: ``_retx_interval`` is interned and
+    # spelled in slot.py, so only the per-class check sees that
+    # RetransmitPolicy has no such field.
+    return Fixture(
+        name="audit-RC805-timer-field", code="RC805",
+        run=_doctored_c("policy_get(policy, S.initial)",
+                        "policy_get(policy, S._retx_interval)"),
+        state="RetransmitPolicy._retx_interval")
 
 
 def _rc805_slot_field() -> Fixture:
@@ -158,8 +169,8 @@ def _rc805_slot_field() -> Fixture:
     # says so before any build.
     return Fixture(
         name="audit-RC805-slot-field", code="RC805",
-        run=_doctored_c("S.duplicate_drops, S.invalid_drops};",
-                        "S.offline, S.invalid_drops};"),
+        run=_doctored_c("S.duplicate_drops, S.invalid_drops, S._retx",
+                        "S.offline, S.invalid_drops, S._retx"),
         state="Slot.offline")
 
 
@@ -302,6 +313,6 @@ def all_audit_fixtures() -> List[Fixture]:
         _rc801, _rc802, _rc803, _rc804, _rc805,
         _rc804_poison, _rc804_state,
         _rc805_utd, _rc804_flowlink, _rc805_slot_method, _rc805_slot_field,
-        _rc805_fault_field,
+        _rc805_fault_field, _rc805_timer_field,
         _rc810, _rc811, _rc812, _rc813, _rc814,
         _rc820, _rc821, _rc822, _rc823)]

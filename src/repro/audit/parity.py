@@ -128,9 +128,9 @@ def diff_surfaces(c: CSurface, py: PySurface) -> List[Diagnostic]:
                 "appears nowhere in the Python reference modules"
                 % name, state=name))
     # The slot kernels read and write Slot fields at the offsets of
-    # its __slots__ members, and the robust-mode paths call its timer
-    # methods; a name that exists elsewhere in the reference (so passes
-    # the check above) is not enough.
+    # its __slots__ members, and the timer twins arm its fire methods;
+    # a name that exists elsewhere in the reference (so passes the
+    # check above) is not enough.
     if not c.slot_fields:
         found.append(_diag("RC805",
                            "could not extract the resolve_slot_fields "
@@ -147,25 +147,27 @@ def diff_surfaces(c: CSurface, py: PySurface) -> List[Diagnostic]:
         if name not in py.slot_methods:
             found.append(_diag(
                 "RC805",
-                "_ccore.c calls Slot.%s(), which class Slot does not "
-                "define" % name, state="Slot.%s" % name))
+                "_ccore.c arms Slot.%s as a timer handler, which class "
+                "Slot does not define" % name, state="Slot.%s" % name))
     # The fault kernel reads FaultyLink's fields and calls its
     # reference _hook, bumps FaultStats counters and reads FaultPlan
-    # rates; each name must be a member of that very class.
-    if not c.fault_fields:
+    # rates; the timer twins read RetransmitPolicy's delays and Node's
+    # loop, timer list and methods.  Each name must be a member of
+    # that very class.
+    if not c.class_fields:
         found.append(_diag("RC805",
-                           "could not extract the fault kernel's "
-                           "faulty_get/stats_incr/plan_rate names from "
-                           "_ccore.c (refactored away from the audited "
-                           "idiom?)"))
-    for cls, names in sorted(c.fault_fields.items()):
-        members = py.fault_members.get(cls, frozenset())
+                           "could not extract the kernels' accessor "
+                           "names (faulty_get/stats_incr/plan_rate/"
+                           "policy_get/node_get) from _ccore.c "
+                           "(refactored away from the audited idiom?)"))
+    for cls, names in sorted(c.class_fields.items()):
+        members = py.class_members.get(cls, frozenset())
         for name in names:
             if name not in members:
                 found.append(_diag(
                     "RC805",
-                    "_ccore.c's fault kernel reads %s.%s, which class "
-                    "%s in faults.py does not define" % (cls, name, cls),
+                    "_ccore.c reads %s.%s, which class %s does not "
+                    "define" % (cls, name, cls),
                     state="%s.%s" % (cls, name)))
     return found
 

@@ -11,10 +11,12 @@ runtime core:
     comparator body, the ``INTERN(field, "text")`` list,
     ``PyImport_ImportModule`` / ``PyObject_GetAttrString`` lookups, the
     ``Slot`` fields ``resolve_slot_fields`` pins to ``__slots__``
-    offsets, the reference ``Slot`` methods called through
-    ``slot_call``, and the fault kernel's ``FaultyLink``, ``FaultStats``
-    and ``FaultPlan`` names (read through ``faulty_get``/``faulty_flag``,
-    ``stats_incr`` and ``plan_rate``).
+    offsets, the ``Slot`` fire methods the timer twins arm
+    (``slot_arm_timer``), and the names the kernels read off other
+    reference classes through audited accessors: ``FaultyLink``,
+    ``FaultStats`` and ``FaultPlan`` (``faulty_get``/``faulty_flag``,
+    ``stats_incr``, ``plan_rate``), ``RetransmitPolicy``
+    (``policy_get``) and ``Node`` (``node_get``).
     The extension is hand-written in exactly these idioms, so pattern
     extraction is reliable; if a future refactor abandons one, the
     parity pass fails loudly (an empty surface diffs as massive drift)
@@ -28,8 +30,8 @@ runtime core:
     consumed, the comparator field order of ``Event.__lt__`` and
     ``_earlier``, the arena cap constants, the expected ABI version, the
     universe of attribute names the modules define or touch, ``Slot``'s
-    ``__slots__`` members and methods, and the members of the three
-    fault-layer classes.
+    ``__slots__`` members and methods, and the members of the classes
+    the kernels read through accessors.
 
 Both extractors accept source text, so the fixture negative controls
 can feed doctored sources through the very same code paths the real
@@ -87,8 +89,13 @@ REFERENCE_MODULES: Tuple[str, ...] = (
     "network/faults.py",
 )
 
-#: The fault-layer classes whose members the fault kernel reads.
-FAULT_CLASSES: Tuple[str, ...] = ("FaultyLink", "FaultStats", "FaultPlan")
+#: The classes whose members the kernels read through an audited
+#: accessor, by the reference module that defines them.
+ACCESSED_CLASSES: Dict[str, Tuple[str, ...]] = {
+    "faults.py": ("FaultyLink", "FaultStats", "FaultPlan"),
+    "slot.py": ("RetransmitPolicy",),
+    "node.py": ("Node",),
+}
 
 
 def reference_module_paths(root: Optional[str] = None) -> List[str]:
@@ -124,12 +131,13 @@ class CSurface:
     #: ``resolve_slot_fields`` name table): each must be a ``__slots__``
     #: member.
     slot_fields: Tuple[str, ...] = ()
-    #: Reference ``Slot`` methods the kernels call (``slot_call``): the
-    #: robust-mode timer arming and cancelling.
+    #: ``Slot`` methods the timer twins fetch as timer handlers (the
+    #: last argument of ``slot_arm_timer``).
     slot_methods: Tuple[str, ...] = ()
-    #: Names the fault kernel reads, keyed by fault-layer class
-    #: (``FaultyLink``, ``FaultStats``, ``FaultPlan``).
-    fault_fields: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: Names read through an audited accessor, keyed by the class they
+    #: belong to (the fault layer's three, ``RetransmitPolicy``,
+    #: ``Node``).
+    class_fields: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
 
 
 _EXPORT_RE = re.compile(r'PyModule_AddObject\(mod,\s*"(\w+)"')
@@ -146,13 +154,21 @@ _SLOT_FIELDS_RE = re.compile(
     r'resolve_slot_fields\(void\)\s*\{.*?names\[SF_COUNT\]\s*=\s*'
     r'\{(.*?)\};', re.S)
 _S_FIELD_RE = re.compile(r'\bS\.(\w+)')
-_SLOT_CALL_RE = re.compile(r'\bslot_call\(\s*[^,()]+,\s*S\.(\w+)')
-#: The fault kernel's audited accessors, by the class they read.
-_FAULT_ACCESSOR_RES = (
-    ("FaultyLink",
-     re.compile(r'\bfaulty_(?:get|flag)\(\s*[^,()]+,\s*S\.(\w+)')),
-    ("FaultStats", re.compile(r'\bstats_incr\(\s*[^,()]+,\s*S\.(\w+)')),
-    ("FaultPlan", re.compile(r'\bplan_rate\(\s*[^,()]+,\s*S\.(\w+)')),
+_SLOT_METHOD_RE = re.compile(
+    r'\bslot_arm_timer\((?:\s*[^,()]+,){3}\s*S\.(\w+)\)')
+
+
+def _accessor_re(accessor: str) -> "re.Pattern[str]":
+    return re.compile(r'\b%s\(\s*[^,()]+,\s*S\.(\w+)' % accessor)
+
+
+#: The kernels' audited accessors, by the class they read.
+_ACCESSOR_RES = (
+    ("FaultyLink", _accessor_re("faulty_(?:get|flag)")),
+    ("FaultStats", _accessor_re("stats_incr")),
+    ("FaultPlan", _accessor_re("plan_rate")),
+    ("RetransmitPolicy", _accessor_re("policy_get")),
+    ("Node", _accessor_re("node_get")),
 )
 _IMPORT_OR_GETATTR_RE = re.compile(
     r'PyImport_ImportModule\("([^"]+)"\)'
@@ -187,11 +203,11 @@ def extract_c_surface(text: str) -> CSurface:
         spelled.get(f, f)
         for f in _S_FIELD_RE.findall(table.group(1) if table else ""))
     slot_methods = tuple(dict.fromkeys(
-        spelled.get(f, f) for f in _SLOT_CALL_RE.findall(text)))
-    fault_fields = {
+        spelled.get(f, f) for f in _SLOT_METHOD_RE.findall(text)))
+    class_fields = {
         cls: tuple(dict.fromkeys(spelled.get(f, f)
                                  for f in regex.findall(text)))
-        for cls, regex in _FAULT_ACCESSOR_RES}
+        for cls, regex in _ACCESSOR_RES}
 
     module_lookups: List[Tuple[str, str]] = []
     attr_lookups: List[str] = []
@@ -211,7 +227,7 @@ def extract_c_surface(text: str) -> CSurface:
                     attr_lookups=tuple(attr_lookups),
                     slot_fields=slot_fields,
                     slot_methods=slot_methods,
-                    fault_fields={c: f for c, f in fault_fields.items()
+                    class_fields={c: f for c, f in class_fields.items()
                                   if f})
 
 
@@ -243,9 +259,9 @@ class PySurface:
     slot_members: FrozenSet[str] = frozenset()
     #: The methods ``class Slot`` defines.
     slot_methods: FrozenSet[str] = frozenset()
-    #: Members of the fault-layer classes in ``faults.py``: methods,
-    #: class-body fields, and ``self.<name>`` assignments.
-    fault_members: Dict[str, FrozenSet[str]] = field(default_factory=dict)
+    #: Members of the :data:`ACCESSED_CLASSES`: methods, class-body
+    #: fields, and ``self.<name>`` assignments.
+    class_members: Dict[str, FrozenSet[str]] = field(default_factory=dict)
 
 
 #: Python constant name (module basename, variable) → C ``#define``.
@@ -302,7 +318,7 @@ def extract_py_surface(sources: Dict[str, str]) -> PySurface:
     problems: List[str] = []
     slot_members: set = set()
     slot_methods: set = set()
-    fault_members: Dict[str, FrozenSet[str]] = {}
+    class_members: Dict[str, FrozenSet[str]] = {}
 
     for path, text in sorted(sources.items()):
         base = os.path.basename(path)
@@ -353,11 +369,10 @@ def extract_py_surface(sources: Dict[str, str]) -> PySurface:
                                 elt.value for elt in item.value.elts
                                 if isinstance(elt, ast.Constant))
 
-        if base == "faults.py":
-            for node in tree.body:
-                if (isinstance(node, ast.ClassDef)
-                        and node.name in FAULT_CLASSES):
-                    fault_members[node.name] = _class_members(node)
+        for node in tree.body:
+            if (isinstance(node, ast.ClassDef)
+                    and node.name in ACCESSED_CLASSES.get(base, ())):
+                class_members[node.name] = _class_members(node)
 
         # Comparators: Event.__lt__ and the module-level _earlier.
         if base == "eventloop.py":
@@ -398,7 +413,7 @@ def extract_py_surface(sources: Dict[str, str]) -> PySurface:
                      problems=tuple(problems),
                      slot_members=frozenset(slot_members),
                      slot_methods=frozenset(slot_methods),
-                     fault_members=fault_members)
+                     class_members=class_members)
 
 
 def load_c_surface(root: Optional[str] = None) -> CSurface:

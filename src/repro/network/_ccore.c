@@ -12,6 +12,8 @@
  *                  constructor, attributes, cancel() semantics
  *                  (including the heap-compaction trigger), and a
  *                  C-level __lt__ compatible with the Python one.
+ *   set_timer_twin C twin of Node.set_timer (EventLoop.schedule
+ *                  inlined); the slot kernels' timer twins arm through it.
  *   drain          C twin of EventLoop._drain_py: the untimed merged
  *                  two-lane drain, one event at a time (deferred
  *                  counter flush, clock stored once per same-timestamp
@@ -53,7 +55,7 @@
 #include <Python.h>
 #include <structmember.h>
 
-#define CCORE_ABI_VERSION 6
+#define CCORE_ABI_VERSION 7
 
 /* Caps mirrored from the Python side (transport._FREELIST_MAX and
  * channel._ENV_POOL_MAX). */
@@ -74,7 +76,7 @@ static struct {
     PyObject *_loop, *_process, *_process_fn, *alive, *slots, *owner;
     PyObject *on_tunnel_signal, *signal, *tunnel_id, *pooled;
     PyObject *state, *_retx_kind, *signals_received, *signals_sent;
-    PyObject *_cancel_retx, *_wire, *_chain, *_end, *_transmit, *_hooks;
+    PyObject *_wire, *_chain, *_end, *_transmit, *_hooks;
     PyObject *qualname;
     /* slot FSM fast path (third perf wave) */
     PyObject *retransmit, *strict, *failed, *medium, *remote_descriptor;
@@ -88,9 +90,11 @@ static struct {
     PyObject *codecs, *is_real, *_no_media, *_busy_medium;
     PyObject *_busy_descriptor, *_busy_attempts, *opens_sent;
     PyObject *describes_sent, *forwarded_selects, *discarded_selects;
-    /* robust slots: the reference timer methods and the drop counters */
-    PyObject *_arm_retx, *_arm_stale, *_cancel_stale, *_cancel_busy;
+    /* robust slots: the timer twins' fields and names, the drop counters */
     PyObject *_retx_signal, *duplicate_drops, *invalid_drops;
+    PyObject *_retx_attempts, *_retx_interval, *_stale_attempts;
+    PyObject *_retx_fire, *_stale_fire, *initial, *stale_after;
+    PyObject *node, *set_timer, *enqueue, *_timers, *_compact_timers;
     /* the fault hook: FaultyLink, FaultStats and FaultPlan fields */
     PyObject *_base_transmit, *random, *link, *plan, *stats, *exempt;
     PyObject *_outage, *_hook, *forwarded, *dropped, *duplicated;
@@ -162,15 +166,13 @@ ensure_protocol(void)
     if (mod == NULL)
         return -1;
     g_slot_type = PyObject_GetAttrString(mod, "Slot");
-    Py_DECREF(mod);
-    if (g_slot_type == NULL)
+    if (g_slot_type == NULL
+        || (g_slot_receive = PyObject_GetAttrString(g_slot_type, "receive"))
+            == NULL
+        || resolve_slot_fields() < 0) {
+        Py_DECREF(mod);
         return -1;
-    g_slot_receive = PyObject_GetAttrString(g_slot_type, "receive");
-    if (g_slot_receive == NULL || resolve_slot_fields() < 0)
-        return -1;
-    mod = PyImport_ImportModule("repro.protocol.slot");
-    if (mod == NULL)
-        return -1;
+    }
     g_dispatch = PyObject_GetAttrString(mod, "_DISPATCH");
     if (g_dispatch == NULL || !PyDict_Check(g_dispatch)) {
         Py_DECREF(mod);
@@ -1265,6 +1267,101 @@ static PyTypeObject FinishType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* set_timer twin                                                      */
+/* ------------------------------------------------------------------ */
+/* C twin of Node.set_timer with EventLoop.schedule inlined, bound to a
+ * TW_* tuple and installed as the node's set_timer by Node.__init__.
+ * The event joins node._timers, pruned by the reference _compact_timers
+ * at 32 entries.  The audit checks node_get names against class Node. */
+#define node_get(node, name) PyObject_GetAttr((node), (name))
+
+enum { TW_NODE, TW_LOOP, TW_HEAP, TW_READY, TW_SEQ };
+
+static PyObject *
+timer_arm(PyObject *tw, PyObject *delay, PyObject *const *rest,
+          Py_ssize_t nrest)
+{
+    PyObject *node = PyTuple_GET_ITEM(tw, TW_NODE);
+    PyObject *loop = PyTuple_GET_ITEM(tw, TW_LOOP);
+    PyObject *enqueue, *eargs, *timers = NULL, *res, *ev = NULL;
+    double d = PyFloat_AsDouble(delay), now = 0.0;
+    long long seq = -1;
+    Py_ssize_t i;
+
+    if (d == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (d < 0)
+        return PyErr_Format(PyExc_ValueError, "cannot schedule an event in "
+                            "the past (delay=%R)", delay);
+    if ((enqueue = node_get(node, S.enqueue)) == NULL)
+        return NULL;
+    if ((eargs = PyTuple_New(nrest)) != NULL) {
+        for (i = 0; i < nrest; i++)
+            PyTuple_SET_ITEM(eargs, i, Py_NewRef(rest[i]));
+        if (get_attr_double(loop, S._now, &now) == 0)
+            seq = next_seq(PyTuple_GET_ITEM(tw, TW_SEQ));
+        if (!PyErr_Occurred())
+            ev = (PyObject *)cevent_make(now + d, 0, seq, enqueue, eargs,
+                                         loop);
+        Py_DECREF(eargs);
+    }
+    Py_DECREF(enqueue);
+    if (ev == NULL)
+        return NULL;
+    if (((CEvent *)ev)->time == now) {
+        res = PyObject_CallMethodOneArg(PyTuple_GET_ITEM(tw, TW_READY),
+                                        S.append, ev);
+        if (res == NULL)
+            goto fail;
+        Py_DECREF(res);
+    }
+    else if (heap_push(PyTuple_GET_ITEM(tw, TW_HEAP), ev) < 0)
+        goto fail;
+    if (attr_add_ll(loop, S._live, 1, NULL) < 0
+        || (timers = node_get(node, S._timers)) == NULL
+        || PyList_Append(timers, ev) < 0)
+        goto fail;
+    if (PyList_GET_SIZE(timers) >= 32) {
+        if ((res = PyObject_CallMethodNoArgs(node, S._compact_timers)) == NULL)
+            goto fail;
+        Py_DECREF(res);
+    }
+    Py_DECREF(timers);
+    return ev;
+fail:
+    Py_XDECREF(timers);
+    Py_DECREF(ev);
+    return NULL;
+}
+
+/* node.set_timer(delay, handler, *args) */
+static PyObject *
+timer_call(PyObject *tw, PyObject *const *args, Py_ssize_t nargs)
+{
+    return nargs >= 2 ? timer_arm(tw, args[0], args + 1, nargs - 1)
+        : PyErr_Format(PyExc_TypeError, "set_timer(delay, handler, *args)");
+}
+
+static PyMethodDef timer_def = {"set_timer",
+    (PyCFunction)(void (*)(void))timer_call, METH_FASTCALL, NULL};
+
+static PyObject *
+mod_set_timer_twin(PyObject *mod, PyObject *node)
+{
+    PyObject *loop = node_get(node, S.loop), *tw, *twin = NULL;
+    if (loop == NULL)
+        return NULL;
+    tw = Py_BuildValue("(OONNN)", node, loop, PyObject_GetAttr(loop, S._heap),
+                       PyObject_GetAttr(loop, S._ready),
+                       PyObject_GetAttr(loop, S._seq));
+    Py_DECREF(loop);
+    if (tw != NULL)
+        twin = PyCFunction_New(&timer_def, tw);
+    Py_XDECREF(tw);
+    return twin;
+}
+
+/* ------------------------------------------------------------------ */
 /* slot fields                                                         */
 /* ------------------------------------------------------------------ */
 /* Slot declares __slots__, so every field the slot kernels read or
@@ -1279,10 +1376,12 @@ enum {
     SF_RETX_KIND, SF_RETX_TIMER, SF_STALE_TIMER, SF_BUSY_TIMER,
     SF_BUSY_MEDIUM, SF_BUSY_DESC, SF_BUSY_ATTEMPTS, SF_SIGNALS_RECEIVED,
     SF_SIGNALS_SENT, SF_RACE_DROPS, SF_STALE_DROPS, SF_RETX_SIGNAL,
-    SF_DUPLICATE_DROPS, SF_INVALID_DROPS, SF_COUNT
+    SF_DUPLICATE_DROPS, SF_INVALID_DROPS, SF_RETX_ATTEMPTS, SF_RETX_INTERVAL,
+    SF_STALE_ATTEMPTS, SF_COUNT
 };
 static Py_ssize_t g_slot_off[SF_COUNT];
 static PyObject *g_one;              /* the int 1, for counter bumps */
+static PyObject *g_zero;             /* the int 0, for fresh budgets */
 
 static int
 resolve_slot_fields(void)
@@ -1294,7 +1393,8 @@ resolve_slot_fields(void)
         S._retx_timer, S._stale_timer, S._busy_timer, S._busy_medium,
         S._busy_descriptor, S._busy_attempts, S.signals_received,
         S.signals_sent, S.race_drops, S.stale_drops, S._retx_signal,
-        S.duplicate_drops, S.invalid_drops};
+        S.duplicate_drops, S.invalid_drops, S._retx_attempts,
+        S._retx_interval, S._stale_attempts};
     int f;
     for (f = 0; f < SF_COUNT; f++) {
         PyObject *d = PyObject_GetAttr(g_slot_type, names[f]);
@@ -1313,7 +1413,8 @@ resolve_slot_fields(void)
         }
     }
     g_one = PyLong_FromLong(1);
-    return g_one == NULL ? -1 : 0;
+    g_zero = PyLong_FromLong(0);
+    return g_one == NULL || g_zero == NULL ? -1 : 0;
 }
 
 /* The five protocol states, by identity with the slot module's
@@ -1382,8 +1483,8 @@ slot_incr(PyObject *slot, int f)
  * slot (one with a RetransmitPolicy), the duplicate absorption and the
  * invalid-signal drops of the reference handlers, and Slot.receive's
  * retransmit-acknowledgement epilogue.  The retransmission and
- * staleness timers stay Python Events on node.set_timer: the kernel
- * cancels them by calling the reference _cancel_* methods.  Anything
+ * staleness timers are cancelled by the C twins of the slot's
+ * _cancel_* methods, without a Python frame.  Anything
  * outside that configuration -- lenient or failed slots, an armed
  * busy-retry timer, Busy signals, illegal receives at a reliable slot
  * (the reference raises), traced loops, arena poisoning -- falls back
@@ -1416,50 +1517,95 @@ fsm_tx_new(PyObject *slot, PyObject *sig_type, PyObject *a, PyObject *b)
     return sig;
 }
 
-/* slot.<name>([a[, b]]): a reference Slot method (the timer
- * machinery).  The audit's surface extractor reads the method names
- * off these calls. */
+/* The C twins of Slot's timer methods, used on robust slots only: the
+ * reference field writes, cancels through cevent_cancel, arms through
+ * the node's set_timer twin.  The audit checks each slot_arm_timer fire
+ * method against class Slot and policy_get names against
+ * RetransmitPolicy. */
+#define policy_get(policy, name) PyObject_GetAttr((policy), (name))
+
+/* _cancel_retx / _cancel_stale / _cancel_busy: cancel the timer field
+ * unless it is None and set it to None, then set the companion fields
+ * f1 and f2 to None (the staleness timer has none: it passes f thrice). */
 static int
-slot_call(PyObject *slot, PyObject *name, PyObject *a, PyObject *b)
+slot_cancel(PyObject *slot, int f, int f1, int f2)
 {
-    PyObject *args[3] = {slot, a, b};
-    PyObject *res = PyObject_VectorcallMethod(
-        name, args, a == NULL ? 1 : b == NULL ? 2 : 3, NULL);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
+    PyObject *timer = slot_get(slot, f), *res;
+    if (timer != NULL && timer != Py_None) {
+        res = CEvent_CheckExact(timer) ? cevent_cancel((CEvent *)timer, NULL)
+            : PyObject_CallMethod(timer, "cancel", NULL);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+        slot_put(slot, f, Py_None);
+    }
+    slot_put(slot, f1, Py_None);
+    slot_put(slot, f2, Py_None);
     return 0;
 }
 
-/* The reference _cancel_retx / _cancel_stale / _cancel_busy, each
- * called only when it has a field to clear: with all of them None the
- * method is a no-op, which on a reliable slot it always is. */
+#define slot_cancel_retx(slot) \
+    slot_cancel((slot), SF_RETX_TIMER, SF_RETX_SIGNAL, SF_RETX_KIND)
+#define slot_cancel_stale(slot) \
+    slot_cancel((slot), SF_STALE_TIMER, SF_STALE_TIMER, SF_STALE_TIMER)
+#define slot_cancel_busy(slot) \
+    slot_cancel((slot), SF_BUSY_TIMER, SF_BUSY_MEDIUM, SF_BUSY_DESC)
+
+/* slot.<f> = slot._end.owner.node.set_timer(delay, slot.<fire>) */
 static int
-slot_cancel_retx(PyObject *slot)
+slot_arm_timer(PyObject *slot, int f, PyObject *delay, PyObject *fire)
 {
-    if (slot_get(slot, SF_RETX_TIMER) == Py_None
-        && slot_get(slot, SF_RETX_SIGNAL) == Py_None
-        && slot_get(slot, SF_RETX_KIND) == Py_None)
-        return 0;
-    return slot_call(slot, S._cancel_retx, NULL, NULL);
+    /* owner, node, node.set_timer, the bound fire method */
+    PyObject *o[4] = {NULL, NULL, NULL, NULL}, *ev = NULL;
+    int i;
+    if ((o[0] = PyObject_GetAttr(slot_get(slot, SF_END), S.owner)) != NULL
+        && (o[1] = PyObject_GetAttr(o[0], S.node)) != NULL
+        && (o[2] = node_get(o[1], S.set_timer)) != NULL
+        && (o[3] = PyObject_GetAttr(slot, fire)) != NULL)
+        ev = PyCFunction_Check(o[2]) && PyCFunction_GET_FUNCTION(o[2])
+                == (PyCFunction)(void (*)(void))timer_call
+            ? timer_arm(PyCFunction_GET_SELF(o[2]), delay, &o[3], 1)
+            : PyObject_CallFunctionObjArgs(o[2], delay, o[3], NULL);
+    for (i = 0; i < 4; i++)
+        Py_XDECREF(o[i]);
+    if (ev == NULL)
+        return -1;
+    slot_put(slot, f, ev);
+    Py_DECREF(ev);
+    return 0;
 }
 
+/* Slot._arm_retx(kind, sig) */
 static int
-slot_cancel_stale(PyObject *slot)
+slot_arm_retx(PyObject *slot, PyObject *kind, PyObject *sig)
 {
-    if (slot_get(slot, SF_STALE_TIMER) == Py_None)
-        return 0;
-    return slot_call(slot, S._cancel_stale, NULL, NULL);
+    PyObject *policy = slot_get(slot, SF_RETRANSMIT), *initial;
+    int st;
+    if (slot_cancel_retx(slot) < 0
+        || (initial = policy_get(policy, S.initial)) == NULL)
+        return -1;
+    slot_put(slot, SF_RETX_KIND, kind);
+    slot_put(slot, SF_RETX_SIGNAL, sig);
+    slot_put(slot, SF_RETX_ATTEMPTS, g_zero);
+    slot_put(slot, SF_RETX_INTERVAL, initial);
+    st = slot_arm_timer(slot, SF_RETX_TIMER, initial, S._retx_fire);
+    Py_DECREF(initial);
+    return st;
 }
 
+/* Slot._arm_stale(): nothing at all when stale_after <= 0 */
 static int
-slot_cancel_busy(PyObject *slot)
+slot_arm_stale(PyObject *slot)
 {
-    if (slot_get(slot, SF_BUSY_TIMER) == Py_None
-        && slot_get(slot, SF_BUSY_MEDIUM) == Py_None
-        && slot_get(slot, SF_BUSY_DESC) == Py_None)
-        return 0;
-    return slot_call(slot, S._cancel_busy, NULL, NULL);
+    PyObject *policy = slot_get(slot, SF_RETRANSMIT);
+    PyObject *after = policy_get(policy, S.stale_after);
+    int st = after ? PyObject_RichCompareBool(after, g_zero, Py_LE) : -1;
+    if (st == 0 && (st = slot_cancel_stale(slot)) == 0) {
+        slot_put(slot, SF_STALE_ATTEMPTS, g_zero);
+        st = slot_arm_timer(slot, SF_STALE_TIMER, after, S._stale_fire);
+    }
+    Py_XDECREF(after);
+    return st < 0 ? -1 : 0;
 }
 
 /* The C twin of Slot._reset_to_closed: state to closed, the
@@ -1475,10 +1621,8 @@ fsm_reset_to_closed(PyObject *slot)
     slot_put(slot, SF_LD, Py_None);
     slot_put(slot, SF_SEL_RECV, Py_None);
     slot_put(slot, SF_SEL_SENT, Py_None);
-    if (slot_cancel_retx(slot) < 0 || slot_cancel_stale(slot) < 0
-        || slot_cancel_busy(slot) < 0)
-        return -1;
-    return 0;
+    return slot_cancel_retx(slot) < 0 || slot_cancel_stale(slot) < 0
+        || slot_cancel_busy(slot) < 0 ? -1 : 0;
 }
 
 /* Slot.receive's epilogue: an unacknowledged open is acknowledged by
@@ -1511,7 +1655,7 @@ fsm_retx_ack(PyObject *slot)
     }
     if (acked < 0)
         return -1;
-    return acked ? slot_call(slot, S._cancel_retx, NULL, NULL) : 0;
+    return acked ? slot_cancel_retx(slot) : 0;
 }
 
 /* Does the selector answer desc (``answers is desc.id or ==``)? */
@@ -1733,7 +1877,7 @@ slot_fsm_fast(PyObject *slot, PyObject *sig, PyObject *state,
         break;
     case FSM_SELECTED:
         if (fsm_copy_attr(slot, SF_SEL_RECV, sig, S.selector) < 0
-            || (cancel && slot_call(slot, S._cancel_stale, NULL, NULL) < 0))
+            || (cancel && slot_cancel_stale(slot) < 0))
             return -1;
         accepted = 1;
         break;
@@ -1836,8 +1980,8 @@ slot_receive_inline(PyObject *slot, PyObject *sig)
  * _work / _open_through / _forward_select steps it calls and the
  * Slot.send_* calls those issue, for a flowlink of exact type FlowLink
  * whose two slots are strict, not failed and have no busy retry
- * pending.  On a robust slot the sends arm and cancel their timers by
- * calling the reference _arm_retx / _arm_stale / _cancel_stale in the
+ * pending.  On a robust slot the sends arm and cancel their timers
+ * through the C twins of _arm_retx / _arm_stale / _cancel_stale in the
  * reference order (after the transmit, so the timer draws its event
  * seq after the delivery does, as in Python).
  *
@@ -2018,8 +2162,8 @@ fl_tx_new(FlSide *s, PyObject *sig_type, PyObject *a, PyObject *b,
         return -1;
     if (s->robust)
         st = retx_kind != NULL
-            ? slot_call(s->slot, S._arm_retx, retx_kind, sig)
-            : slot_call(s->slot, S._arm_stale, NULL, NULL);
+            ? slot_arm_retx(s->slot, retx_kind, sig)
+            : slot_arm_stale(s->slot);
     Py_DECREF(sig);
     return st;
 }
@@ -2030,7 +2174,6 @@ static int
 fl_send_open(FlCtx *c, int i, PyObject *medium, PyObject *desc)
 {
     FlSide *s = &c->side[i];
-    PyObject *zero;
     if (s->state != ST_CLOSED)
         return fl_reject(c);
     s->state = ST_OPENING;
@@ -2040,14 +2183,10 @@ fl_send_open(FlCtx *c, int i, PyObject *medium, PyObject *desc)
     slot_put(s->slot, SF_MEDIUM, medium);
     slot_put(s->slot, SF_LD, desc);
     slot_put(s->slot, SF_FAILED, Py_False);
-    /* _cancel_busy with no timer armed, then the fresh busy budget */
-    slot_put(s->slot, SF_BUSY_MEDIUM, Py_None);
-    slot_put(s->slot, SF_BUSY_DESC, Py_None);
-    zero = PyLong_FromLong(0);
-    if (zero == NULL)
+    /* _cancel_busy, then the fresh busy budget */
+    if (slot_cancel_busy(s->slot) < 0)
         return -1;
-    slot_put(s->slot, SF_BUSY_ATTEMPTS, zero);
-    Py_DECREF(zero);
+    slot_put(s->slot, SF_BUSY_ATTEMPTS, g_zero);
     slot_put(s->slot, SF_STATE, g_state_opening);
     if (fl_tx_new(s, g_sig_open, medium, desc, g_kind_open) < 0)
         return -1;
@@ -2083,7 +2222,7 @@ fl_send_close(FlCtx *c, int i)
     if (slot_cancel_stale(s->slot) < 0
         || fsm_tx(s->slot, g_close) < 0
         || (s->robust
-            && slot_call(s->slot, S._arm_retx, g_kind_close, g_close) < 0))
+            && slot_arm_retx(s->slot, g_kind_close, g_close) < 0))
         return -1;
     return 1;
 }
@@ -3565,6 +3704,10 @@ static PyMethodDef ccore_methods[] = {
      "(time, priority, seq) order until both lanes empty or `limit`\n"
      "events have run (limit < 0 means no budget).  Returns the number\n"
      "of events executed.  Mirrors EventLoop._drain_py exactly."},
+    {"set_timer_twin", mod_set_timer_twin, METH_O,
+     "set_timer_twin(node) -> the C twin of node.set_timer\n\n"
+     "Node.set_timer with EventLoop.schedule inlined, bound to the node\n"
+     "and its loop's lanes; Node.__init__ installs it."},
     {NULL, NULL, 0, NULL}
 };
 
@@ -3636,7 +3779,6 @@ intern_all(void)
     INTERN(_retx_kind, "_retx_kind");
     INTERN(signals_received, "signals_received");
     INTERN(signals_sent, "signals_sent");
-    INTERN(_cancel_retx, "_cancel_retx");
     INTERN(_wire, "_wire");
     INTERN(_chain, "_chain");
     INTERN(_end, "_end");
@@ -3681,11 +3823,19 @@ intern_all(void)
     INTERN(describes_sent, "describes_sent");
     INTERN(forwarded_selects, "forwarded_selects");
     INTERN(discarded_selects, "discarded_selects");
-    INTERN(_arm_retx, "_arm_retx");
-    INTERN(_arm_stale, "_arm_stale");
-    INTERN(_cancel_stale, "_cancel_stale");
-    INTERN(_cancel_busy, "_cancel_busy");
     INTERN(_retx_signal, "_retx_signal");
+    INTERN(_retx_attempts, "_retx_attempts");
+    INTERN(_retx_interval, "_retx_interval");
+    INTERN(_stale_attempts, "_stale_attempts");
+    INTERN(_retx_fire, "_retx_fire");
+    INTERN(_stale_fire, "_stale_fire");
+    INTERN(initial, "initial");
+    INTERN(stale_after, "stale_after");
+    INTERN(node, "node");
+    INTERN(set_timer, "set_timer");
+    INTERN(enqueue, "enqueue");
+    INTERN(_timers, "_timers");
+    INTERN(_compact_timers, "_compact_timers");
     INTERN(duplicate_drops, "duplicate_drops");
     INTERN(invalid_drops, "invalid_drops");
     INTERN(_base_transmit, "_base_transmit");

@@ -104,11 +104,11 @@ if BACKEND_REQUESTED in ("compiled", "auto"):
         # A stale artifact built against different kernel contracts must
         # not half-load; the ABI tag is bumped whenever the C side's
         # expectations of the Python objects change.
-        if getattr(_core_mod, "ABI_VERSION", None) != 6:
+        if getattr(_core_mod, "ABI_VERSION", None) != 7:
             if BACKEND_REQUESTED == "compiled":
                 warnings.warn(
                     "%s=compiled but the artifact's ABI_VERSION is %r "
-                    "(expected 5); rebuild with 'python "
+                    "(expected 7); rebuild with 'python "
                     "tools/build_backend.py --force' -- falling back "
                     "to the pure-Python backend"
                     % (BACKEND_ENV,
@@ -130,7 +130,7 @@ def compiled_available() -> bool:
         from . import _ccore  # noqa: F401
     except ImportError:
         return False
-    return getattr(_ccore, "ABI_VERSION", None) == 6
+    return getattr(_ccore, "ABI_VERSION", None) == 7
 
 
 def describe() -> Dict[str, Any]:

@@ -63,6 +63,13 @@ class Node:
         #: alarms must not fire into its restarted self).  Compacted
         #: lazily once fired entries dominate.
         self._timers: list = []
+        if _CORE is not None:
+            #: Under the compiled backend, the C twin of :meth:`set_timer`
+            #: (``EventLoop.schedule`` inlined) shadows the method; the
+            #: slot kernels arm through it too.  Created after ``loop``
+            #: exists (the twin caches the loop's lanes).
+            self.set_timer = (  # type: ignore[method-assign]
+                _CORE.set_timer_twin(self))
 
     def _arm(self) -> None:
         """Schedule ``_finish_one`` after ``cost`` seconds (inlined
@@ -124,11 +131,17 @@ class Node:
         timers = self._timers
         timers.append(event)
         if len(timers) >= 32:
-            alive = [e for e in timers
-                     if e._loop is not None and not e.cancelled]
-            if len(alive) * 2 <= len(timers):
-                timers[:] = alive
+            self._compact_timers()
         return event
+
+    def _compact_timers(self) -> None:
+        """Drop the fired and cancelled timers once they are at least
+        half the list (the compiled twin of :meth:`set_timer` calls
+        this too, so both backends keep the same entries)."""
+        timers = self._timers
+        alive = [e for e in timers if e._loop is not None and not e.cancelled]
+        if len(alive) * 2 <= len(timers):
+            timers[:] = alive
 
     def cancel_timers(self) -> int:
         """Cancel every timer still armed on this node; returns how

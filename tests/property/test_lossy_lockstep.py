@@ -11,8 +11,10 @@ Each configuration runs once per backend in a child interpreter (the
 backend is fixed at import time).  The digest covers ``loop.executed``,
 ``loop.now``, a hash of ``loop.rng.getstate()``, the fault layer's
 counters, the summed signal, transmit and backpressure-deferral counts,
-every slot's state and robust-mode counters, and the number of calls
-that degraded to ``closed``/``noMedia``.  Any difference is a kernel
+every slot's state and robust-mode counters, the number of calls
+that degraded to ``closed``/``noMedia``, the timers a crash cancelled
+and the length of every node's timer list (under the compiled backend
+a C twin of ``Node.set_timer`` fills it).  Any difference is a kernel
 bug, not noise.
 
 Run one configuration by hand, by name or as ``topology plan seed``::
@@ -50,6 +52,11 @@ CALLS = 2000
 #: the first calls in flight, and a relay whose links are backpressured at one message
 #: in flight: its transmits defer, so the fault decision forwards into
 #: the Python bounded transmit instead of fusing into the slot send.
+#: Last, the slow relay again, with a box that crashes and restarts
+#: four times, each time 0.3 s into a call's open or close: the box
+#: has just forwarded the signal and armed its retransmission, so
+#: ``Node.cancel_timers`` walks a timer list the box's slot kernels
+#: filled.
 CONFIGS = {
     "lossy_c": ("relay", "drop10+dup10", 20060912),
     "lossy_c-77003": ("relay", "drop10+dup10", 77003),
@@ -58,7 +65,13 @@ CONFIGS = {
     "tied-timers": ("tied", "drop10+dup10", 20060912),
     "flaky": ("tied", "flaky", 20060912),
     "backpressured": ("bp", "drop10+dup10", 20060912),
+    "crashed": ("crashed", "drop10+dup10", 20060912),
 }
+
+#: ``crashed``: the calls whose open (whose close) the box crashes in,
+#: and the crash's offset and duration in seconds.
+CRASH_OPENS, CRASH_CLOSES = (0, 1000), (500, 1500)
+CRASH_AT, CRASH_FOR = 0.3, 0.4
 
 _SRC = os.path.normpath(os.path.join(
     os.path.dirname(__file__), "..", "..", "src"))
@@ -68,14 +81,15 @@ def run(topology: str, plan: str, seed: int,
         calls: int = CALLS) -> Dict[str, Any]:
     """Drive ``calls`` open/settle/close/settle calls; returns the
     digest fields."""
-    from repro.network.faults import plan_by_name
+    from repro.network.faults import CrashSchedule, plan_by_name
     from repro.network.latency import FixedLatency
     from repro.network.network import Network
     from repro.protocol.codecs import AUDIO
     from repro.protocol.slot import RetransmitPolicy
 
     policy = RetransmitPolicy()
-    latency = FixedLatency(policy.initial if topology == "tied" else 0.0)
+    latency = FixedLatency(policy.initial if topology in ("tied", "crashed")
+                           else 0.0)
     net = Network(seed=seed, faults=plan_by_name(plan), retransmit=policy,
                   latency=latency,
                   backpressure=1 if topology == "bp" else None)
@@ -90,16 +104,24 @@ def run(topology: str, plan: str, seed: int,
         box.flow_link(channels[i].end_for(box).slot(),
                       channels[i + 1].end_for(box).slot())
     slot = channels[0].end_for(a).slot()
+    crashes = []
+
+    def crash_box(call, at):
+        if topology == "crashed" and call in at:
+            crashes.append(CrashSchedule(
+                boxes[0].node, ((net.loop.now + CRASH_AT, CRASH_FOR),)))
 
     degraded = 0
-    for _ in range(calls):
+    for call in range(calls):
         a.open(slot, AUDIO)
+        crash_box(call, CRASH_OPENS)
         net.settle()
         flowing = slot.is_flowing and net.plane.two_way(a, b)
         gave_up = slot.failed and slot.is_closed
         assert flowing or gave_up, "call neither flowing nor degraded"
         degraded += not flowing
         a.close(slot)
+        crash_box(call, CRASH_CLOSES)
         net.settle()
         assert slot.is_closed, slot.state
 
@@ -128,6 +150,8 @@ def run(topology: str, plan: str, seed: int,
         "deferred": deferred,
         "slots": slots,
         "degraded": degraded,
+        "timers_cancelled": sum(c.timers_cancelled for c in crashes),
+        "timer_lists": [len(agent.node._timers) for agent in hops],
     }
 
 
@@ -159,6 +183,7 @@ def test_lossy_runs_identical_across_backends(config):
     assert (stats["duplicated"] > 0) == (config != "flaky")
     assert (stats["flap_drops"] > 0) == (config == "flaky")
     assert (py["deferred"] > 0) == (config == "backpressured")
+    assert (py["timers_cancelled"] > 0) == (config == "crashed")
     assert sum(s[2] for s in py["slots"]) > 0
     assert sum(s[5] for s in py["slots"]) > 0
     for key in sorted(py):

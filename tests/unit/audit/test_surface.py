@@ -6,10 +6,10 @@ the known runtime contract."""
 from repro.audit.surface import (extract_c_surface, load_c_surface,
                                  load_py_surface)
 
-#: The nine dispatch-critical kernels the seam exports.
+#: The ten dispatch-critical kernels the seam exports.
 KERNELS = frozenset({"Event", "Deliver", "Receive", "Finish", "Process",
                      "LinkTransmit", "SlotTransmit", "FaultHook",
-                     "drain"})
+                     "drain", "set_timer_twin"})
 
 
 def test_c_surface_kernels():
@@ -33,8 +33,8 @@ def test_arena_caps_and_abi_match():
     py = load_py_surface()
     assert c.constants["FREELIST_MAX"] == py.constants["FREELIST_MAX"]
     assert c.constants["ENV_POOL_MAX"] == py.constants["ENV_POOL_MAX"]
-    assert c.constants["CCORE_ABI_VERSION"] == 6
-    assert py.abi_expected == frozenset({6})
+    assert c.constants["CCORE_ABI_VERSION"] == 7
+    assert py.abi_expected == frozenset({7})
 
 
 def test_interned_names_are_spelled_in_python():
@@ -48,12 +48,13 @@ def test_interned_names_are_spelled_in_python():
 def test_slot_fields_and_timer_methods_match_the_slot_class():
     c = load_c_surface()
     py = load_py_surface()
-    # The robust-slot surface of the FSM and flowlink kernels.
+    # The robust-slot surface of the FSM and flowlink kernels: the
+    # timer twins write the retransmit and staleness fields and arm
+    # the two fire methods.
     assert {"_retx_signal", "_stale_timer", "duplicate_drops",
-            "invalid_drops"} <= set(c.slot_fields)
-    assert set(c.slot_methods) == {"_arm_retx", "_arm_stale",
-                                   "_cancel_retx", "_cancel_stale",
-                                   "_cancel_busy"}
+            "invalid_drops", "_retx_attempts", "_retx_interval",
+            "_stale_attempts"} <= set(c.slot_fields)
+    assert set(c.slot_methods) == {"_retx_fire", "_stale_fire"}
     assert set(c.slot_fields) <= py.slot_members
     assert set(c.slot_methods) <= py.slot_methods
 
@@ -61,14 +62,16 @@ def test_slot_fields_and_timer_methods_match_the_slot_class():
 def test_fault_kernel_names_match_the_fault_classes():
     c = load_c_surface()
     py = load_py_surface()
-    assert c.fault_fields == {
+    assert c.class_fields == {
         "FaultyLink": ("_outage", "stats", "_hook", "link", "plan",
                        "exempt"),
         "FaultStats": ("exempted", "duplicated", "dropped", "forwarded"),
         "FaultPlan": ("drop", "duplicate", "jitter", "reorder"),
+        "RetransmitPolicy": ("initial", "stale_after"),
+        "Node": ("enqueue", "_timers", "loop", "set_timer"),
     }
-    for cls, names in c.fault_fields.items():
-        assert set(names) <= py.fault_members[cls], cls
+    for cls, names in c.class_fields.items():
+        assert set(names) <= py.class_members[cls], cls
 
 
 def test_module_lookups_resolve_structurally():

@@ -1,5 +1,7 @@
 """Unit tests for links (FIFO + latency) and nodes (processing cost)."""
 
+import pytest
+
 from repro.network.eventloop import EventLoop
 from repro.network.latency import FixedLatency, UniformLatency
 from repro.network.node import Node
@@ -192,6 +194,39 @@ def test_node_timer_cancel():
     timer.cancel()
     loop.run()
     assert out == []
+
+
+def test_node_timer_rejects_a_negative_delay():
+    """Under either backend (the compiled one installs a C twin of
+    ``set_timer``): a negative delay raises before anything is armed."""
+    loop = EventLoop()
+    node = Node(loop, cost=0.0)
+    with pytest.raises(ValueError, match="past"):
+        node.set_timer(-0.1, lambda: None)
+    assert loop.pending() == 0 and node._timers == []
+
+
+def test_node_timer_list_compacts_like_the_reference():
+    """40 arms, every even one cancelled right away: the 32nd arm finds
+    exactly half its list dead and compacts it to the 16 live timers;
+    the later arms append.  The expected list is the reference rule
+    (compact once 32 entries are held and at most half are live)."""
+    loop = EventLoop()
+    node = Node(loop, cost=0.0)
+    expected = []
+    for i in range(40):
+        event = node.set_timer(1.0 + i, print, i)
+        assert event.args == (print, i) and event.time == 1.0 + i
+        expected.append(event)
+        if len(expected) >= 32:
+            alive = [e for e in expected if not e.cancelled]
+            if len(alive) * 2 <= len(expected):
+                expected = alive
+        if i % 2 == 0:
+            event.cancel()
+    assert len(expected) == 24
+    assert [id(e) for e in node._timers] == [id(e) for e in expected]
+    assert loop.pending() == 20
 
 
 def test_node_handled_counter():
