@@ -787,11 +787,28 @@ static int fsm_tx(PyObject *slot, PyObject *sig);
 /* node arming (shared by Receive and Finish)                          */
 /* ------------------------------------------------------------------ */
 
+/* EventLoop.schedule's tail: ev joins the ready lane when it is due
+ * now, the heap otherwise, and counts as live. */
+static int
+lane_push(PyObject *loop, PyObject *heap, PyObject *ready_append,
+          CEvent *ev, double now)
+{
+    if (ev->time == now) {
+        PyObject *res = PyObject_CallOneArg(ready_append, (PyObject *)ev);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
+    }
+    else if (heap_push(heap, (PyObject *)ev) < 0)
+        return -1;
+    return attr_add_ll(loop, S._live, 1, NULL);
+}
+
 /* Schedule node._finish_cb to run `cost` seconds from now, re-arming
  * the node's singleton stimulus event when it has fired (the _busy
  * flag guarantees at most one is in flight).  Mirrors Node._arm. */
 static int
-arm_node(PyObject *node, PyObject *loop, PyObject *heap, PyObject *ready,
+arm_node(PyObject *node, PyObject *loop, PyObject *heap,
          PyObject *ready_append, PyObject *seq_iter, PyObject *finish_cb)
 {
     double now, when, cost;
@@ -835,20 +852,9 @@ arm_node(PyObject *node, PyObject *loop, PyObject *heap, PyObject *ready,
             return -1;
         }
     }
-    if (when == now) {
-        PyObject *res = ready_append != NULL
-            ? PyObject_CallOneArg(ready_append, ev_obj)
-            : PyObject_CallMethodObjArgs(ready, S.append, ev_obj, NULL);
-        st = (res == NULL) ? -1 : 0;
-        Py_XDECREF(res);
-    }
-    else {
-        st = heap_push(heap, ev_obj);
-    }
+    st = lane_push(loop, heap, ready_append, ev, now);
     Py_DECREF(ev_obj);
-    if (st < 0)
-        return -1;
-    return attr_add_ll(loop, S._live, 1, NULL);
+    return st;
 }
 
 /* ------------------------------------------------------------------ */
@@ -981,8 +987,8 @@ receive_impl(ReceiveObj *rc, PyObject *msg)
     if (!flag) {
         if (PyObject_SetAttr(rc->node, S._busy, Py_True) < 0)
             return -1;
-        return arm_node(rc->node, rc->loop, rc->heap, rc->ready,
-                        rc->ready_append, rc->seq_iter, rc->finish_cb);
+        return arm_node(rc->node, rc->loop, rc->heap, rc->ready_append,
+                        rc->seq_iter, rc->finish_cb);
     }
     return 0;
 }
@@ -1141,9 +1147,8 @@ finish_impl(FinishObj *f)
             remaining = 0;
         }
         if (remaining > 0) {
-            if (arm_node(f->node, f->loop, f->heap, f->ready,
-                         f->ready_append, f->seq_iter,
-                         (PyObject *)f) < 0) {
+            if (arm_node(f->node, f->loop, f->heap, f->ready_append,
+                         f->seq_iter, (PyObject *)f) < 0) {
                 if (st < 0) {
                     /* keep the original exception */
                     PyErr_Clear();
@@ -1271,55 +1276,51 @@ static PyTypeObject FinishType = {
 /* ------------------------------------------------------------------ */
 /* C twin of Node.set_timer with EventLoop.schedule inlined, bound to a
  * TW_* tuple and installed as the node's set_timer by Node.__init__.
- * The event joins node._timers, pruned by the reference _compact_timers
- * at 32 entries.  The audit checks node_get names against class Node. */
+ * The event joins node._timers; from 32 entries on each arm also calls
+ * the reference Node._compact_timers, a Python frame.  The audit checks
+ * node_get names against class Node. */
 #define node_get(node, name) PyObject_GetAttr((node), (name))
 
-enum { TW_NODE, TW_LOOP, TW_HEAP, TW_READY, TW_SEQ };
+enum { TW_NODE, TW_LOOP, TW_HEAP, TW_READY_APPEND, TW_SEQ };
 
+/* node.set_timer(delay, handler, *args) */
 static PyObject *
-timer_arm(PyObject *tw, PyObject *delay, PyObject *const *rest,
-          Py_ssize_t nrest)
+timer_call(PyObject *tw, PyObject *const *args, Py_ssize_t nargs)
 {
     PyObject *node = PyTuple_GET_ITEM(tw, TW_NODE);
     PyObject *loop = PyTuple_GET_ITEM(tw, TW_LOOP);
-    PyObject *enqueue, *eargs, *timers = NULL, *res, *ev = NULL;
-    double d = PyFloat_AsDouble(delay), now = 0.0;
+    PyObject *enqueue, *eargs, *timers = NULL, *res;
+    CEvent *ev = NULL;
+    double d, now = 0.0;
     long long seq = -1;
     Py_ssize_t i;
 
-    if (d == -1.0 && PyErr_Occurred())
+    if (nargs < 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "set_timer(delay, handler, *args)");
+    if ((d = PyFloat_AsDouble(args[0])) == -1.0 && PyErr_Occurred())
         return NULL;
     if (d < 0)
         return PyErr_Format(PyExc_ValueError, "cannot schedule an event in "
-                            "the past (delay=%R)", delay);
+                            "the past (delay=%R)", args[0]);
     if ((enqueue = node_get(node, S.enqueue)) == NULL)
         return NULL;
-    if ((eargs = PyTuple_New(nrest)) != NULL) {
-        for (i = 0; i < nrest; i++)
-            PyTuple_SET_ITEM(eargs, i, Py_NewRef(rest[i]));
+    if ((eargs = PyTuple_New(nargs - 1)) != NULL) {
+        for (i = 1; i < nargs; i++)
+            PyTuple_SET_ITEM(eargs, i - 1, Py_NewRef(args[i]));
         if (get_attr_double(loop, S._now, &now) == 0)
             seq = next_seq(PyTuple_GET_ITEM(tw, TW_SEQ));
         if (!PyErr_Occurred())
-            ev = (PyObject *)cevent_make(now + d, 0, seq, enqueue, eargs,
-                                         loop);
+            ev = cevent_make(now + d, 0, seq, enqueue, eargs, loop);
         Py_DECREF(eargs);
     }
     Py_DECREF(enqueue);
     if (ev == NULL)
         return NULL;
-    if (((CEvent *)ev)->time == now) {
-        res = PyObject_CallMethodOneArg(PyTuple_GET_ITEM(tw, TW_READY),
-                                        S.append, ev);
-        if (res == NULL)
-            goto fail;
-        Py_DECREF(res);
-    }
-    else if (heap_push(PyTuple_GET_ITEM(tw, TW_HEAP), ev) < 0)
-        goto fail;
-    if (attr_add_ll(loop, S._live, 1, NULL) < 0
+    if (lane_push(loop, PyTuple_GET_ITEM(tw, TW_HEAP),
+                  PyTuple_GET_ITEM(tw, TW_READY_APPEND), ev, now) < 0
         || (timers = node_get(node, S._timers)) == NULL
-        || PyList_Append(timers, ev) < 0)
+        || PyList_Append(timers, (PyObject *)ev) < 0)
         goto fail;
     if (PyList_GET_SIZE(timers) >= 32) {
         if ((res = PyObject_CallMethodNoArgs(node, S._compact_timers)) == NULL)
@@ -1327,19 +1328,11 @@ timer_arm(PyObject *tw, PyObject *delay, PyObject *const *rest,
         Py_DECREF(res);
     }
     Py_DECREF(timers);
-    return ev;
+    return (PyObject *)ev;
 fail:
     Py_XDECREF(timers);
     Py_DECREF(ev);
     return NULL;
-}
-
-/* node.set_timer(delay, handler, *args) */
-static PyObject *
-timer_call(PyObject *tw, PyObject *const *args, Py_ssize_t nargs)
-{
-    return nargs >= 2 ? timer_arm(tw, args[0], args + 1, nargs - 1)
-        : PyErr_Format(PyExc_TypeError, "set_timer(delay, handler, *args)");
 }
 
 static PyMethodDef timer_def = {"set_timer",
@@ -1348,12 +1341,14 @@ static PyMethodDef timer_def = {"set_timer",
 static PyObject *
 mod_set_timer_twin(PyObject *mod, PyObject *node)
 {
-    PyObject *loop = node_get(node, S.loop), *tw, *twin = NULL;
+    PyObject *loop = node_get(node, S.loop), *ready, *tw, *twin = NULL;
     if (loop == NULL)
         return NULL;
+    ready = PyObject_GetAttr(loop, S._ready);
     tw = Py_BuildValue("(OONNN)", node, loop, PyObject_GetAttr(loop, S._heap),
-                       PyObject_GetAttr(loop, S._ready),
+                       ready ? PyObject_GetAttr(ready, S.append) : NULL,
                        PyObject_GetAttr(loop, S._seq));
+    Py_XDECREF(ready);
     Py_DECREF(loop);
     if (tw != NULL)
         twin = PyCFunction_New(&timer_def, tw);
@@ -1519,7 +1514,8 @@ fsm_tx_new(PyObject *slot, PyObject *sig_type, PyObject *a, PyObject *b)
 
 /* The C twins of Slot's timer methods, used on robust slots only: the
  * reference field writes, cancels through cevent_cancel, arms through
- * the node's set_timer twin.  The audit checks each slot_arm_timer fire
+ * one vectorcall of node.set_timer (the C twin once Node.__init__ has
+ * installed it).  The audit checks each slot_arm_timer fire
  * method against class Slot and policy_get names against
  * RetransmitPolicy. */
 #define policy_get(policy, name) PyObject_GetAttr((policy), (name))
@@ -1562,10 +1558,7 @@ slot_arm_timer(PyObject *slot, int f, PyObject *delay, PyObject *fire)
         && (o[1] = PyObject_GetAttr(o[0], S.node)) != NULL
         && (o[2] = node_get(o[1], S.set_timer)) != NULL
         && (o[3] = PyObject_GetAttr(slot, fire)) != NULL)
-        ev = PyCFunction_Check(o[2]) && PyCFunction_GET_FUNCTION(o[2])
-                == (PyCFunction)(void (*)(void))timer_call
-            ? timer_arm(PyCFunction_GET_SELF(o[2]), delay, &o[3], 1)
-            : PyObject_CallFunctionObjArgs(o[2], delay, o[3], NULL);
+        ev = PyObject_Vectorcall(o[2], (PyObject *[]){delay, o[3]}, 2, NULL);
     for (i = 0; i < 4; i++)
         Py_XDECREF(o[i]);
     if (ev == NULL)
@@ -2893,22 +2886,7 @@ transmit_impl(TransmitObj *t, PyObject *origin, PyObject *msg)
         if (ev == NULL)
             return -1;
     }
-    if (deliver_at == now) {
-        PyObject *res = PyObject_CallOneArg(t->ready_append,
-                                            (PyObject *)ev);
-        if (res == NULL) {
-            Py_DECREF(ev);
-            return -1;
-        }
-        Py_DECREF(res);
-    }
-    else {
-        if (heap_push(t->heap, (PyObject *)ev) < 0) {
-            Py_DECREF(ev);
-            return -1;
-        }
-    }
-    if (attr_add_ll(t->loop, S._live, 1, NULL) < 0) {
+    if (lane_push(t->loop, t->heap, t->ready_append, ev, now) < 0) {
         Py_DECREF(ev);
         return -1;
     }
